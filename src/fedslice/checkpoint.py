@@ -1,11 +1,14 @@
-"""Binary checkpoint container for named float64 tensors.
+"""Binary checkpoint container for named float64 tensors, and the model a
+checkpoint holds.
 
 Layout, all little-endian:
   magic "RFFM" | u32 version | u32 tensor count |
   per tensor: u32 name length | UTF-8 name | u32 rank |
               rank x u64 dims | row-major f64 payload
 Roundtrips are bit-exact; trailing bytes, bad magic, truncation, and
-non-finite payloads are rejected with the failing byte offset.
+non-finite payloads are rejected with the failing byte offset. A model is
+stored as its tensors plus the metadata tensor ``__config__`` (metadata
+tensor names have the form ``__*__``).
 """
 
 from __future__ import annotations
@@ -14,10 +17,16 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
+from .nn import ModelConfig, ModelWeights, full_shapes, tensor_names
+from .scaling import plan_shape, slice_plan, spec_of
 
 MAGIC = b"RFFM"
 VERSION = 1
+
+_CONFIG_TENSOR = "__config__"
+_CONFIG_FIELDS = ("n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
+                  "vocab_size", "n_classes", "max_seq")
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
@@ -81,3 +90,47 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if pos != len(blob):
         raise FormatError(f"trailing bytes at offset {pos}")
     return tensors
+
+
+def model_to_tensors(w: ModelWeights) -> dict[str, np.ndarray]:
+    tensors = {_CONFIG_TENSOR: np.array([getattr(w.config, f) for f in _CONFIG_FIELDS],
+                                        dtype=np.float64)}
+    tensors.update(w.tensors)
+    return tensors
+
+
+def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
+    """The model a checkpoint holds. It must hold exactly the config's
+    tensors, each shaped as in the full model or in one sub-model of it;
+    anything else raises FormatError."""
+    vals = tensors.get(_CONFIG_TENSOR)
+    if vals is None or vals.shape != (len(_CONFIG_FIELDS),) or not np.all(np.isfinite(vals)) \
+            or np.any(vals < 1) or np.any(vals != np.floor(vals)):
+        raise FormatError(f"checkpoint needs a {_CONFIG_TENSOR} tensor of "
+                          f"{len(_CONFIG_FIELDS)} integers >= 1")
+    cfg = ModelConfig(**{f: int(v) for f, v in zip(_CONFIG_FIELDS, vals)})
+    weights = {k: v for k, v in tensors.items() if k != _CONFIG_TENSOR}
+    # every head owns a tensor, so this bounds the enumeration of names
+    if cfg.n_layers * cfg.n_heads > len(weights):
+        raise FormatError(f"{_CONFIG_TENSOR} describes more tensors than the checkpoint holds")
+    names = tensor_names(cfg)
+    if set(names) != set(weights):
+        raise FormatError(f"checkpoint tensors do not match its config: missing "
+                          f"{sorted(set(names) - set(weights))[:3]}, "
+                          f"unexpected {sorted(set(weights) - set(names))[:3]}")
+    full = full_shapes(cfg)
+    shapes = {name: arr.shape for name, arr in weights.items()}
+    for name in names:
+        if len(shapes[name]) != len(full[name]):
+            raise FormatError(f"tensor {name!r} has rank {len(shapes[name])}, "
+                              f"expected {len(full[name])}")
+    spec = spec_of(shapes, cfg.n_layers, cfg.n_heads)
+    try:
+        spec.validate(cfg)
+    except ValidationError as exc:
+        raise FormatError(f"checkpoint widths do not fit its config: {exc}") from exc
+    for name, idx in slice_plan(spec, full).items():
+        if shapes[name] != plan_shape(full[name], idx):
+            raise FormatError(f"tensor {name!r} has shape {shapes[name]}, "
+                              f"expected {plan_shape(full[name], idx)}")
+    return ModelWeights(cfg, weights)

@@ -12,11 +12,12 @@ import sys
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
+                         write_checkpoint)
 from .config import parse_run_config
 from .errors import (AggregationError, ConfigError, FormatError, NumericError,
                      ShapeError, ValidationError)
-from .nn import Batch, ModelConfig, ModelWeights, forward, init_weights
+from .nn import Batch, ModelConfig, forward, init_weights
 from .scaling import (SubmodelSpec, extract_submodel, prioritize_model,
                       uniform_spec, verify_theorem1)
 from .sim import run_simulation
@@ -26,28 +27,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_IO = 3
-
-_CONFIG_TENSOR = "__config__"
-_CONFIG_FIELDS = ("n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
-                  "vocab_size", "n_classes", "max_seq")
-
-
-def model_to_tensors(w: ModelWeights) -> dict[str, np.ndarray]:
-    tensors = {_CONFIG_TENSOR: np.array([getattr(w.config, f) for f in _CONFIG_FIELDS],
-                                        dtype=np.float64)}
-    tensors.update(w.tensors)
-    return tensors
-
-
-def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
-    if _CONFIG_TENSOR not in tensors:
-        raise FormatError(f"checkpoint lacks the {_CONFIG_TENSOR} tensor")
-    vals = tensors[_CONFIG_TENSOR]
-    if vals.shape != (len(_CONFIG_FIELDS),):
-        raise FormatError(f"malformed {_CONFIG_TENSOR} tensor")
-    cfg = ModelConfig(**{f: int(v) for f, v in zip(_CONFIG_FIELDS, vals)})
-    weights = {k: v for k, v in tensors.items() if k != _CONFIG_TENSOR}
-    return ModelWeights(cfg, weights)
 
 
 def _cmd_run(args) -> int:
@@ -122,16 +101,21 @@ def _cmd_verify(args) -> int:
 
 def _parse_spec_json(path: str, cfg: ModelConfig) -> SubmodelSpec:
     with open(path) as f:
-        doc = json.load(f)
-    if "ratio" in doc:
-        return uniform_spec(cfg, float(doc["ratio"]))
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"spec is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and "ratio" in doc:
+        ratio = doc["ratio"]
+        if set(doc) != {"ratio"} or type(ratio) not in (int, float) or not 0 < ratio <= 1:
+            raise ValidationError(f'spec must be {{"ratio": r}} with r in (0, 1], got {doc!r}')
+        return uniform_spec(cfg, ratio)
     return SubmodelSpec.from_dict(doc)
 
 
 def _cmd_extract(args) -> int:
     model = tensors_to_model(read_checkpoint(args.checkpoint_in))
     spec = _parse_spec_json(args.spec, model.config)
-    spec.validate(model.config)
     prioritized, _ = prioritize_model(model)
     sub = extract_submodel(prioritized, spec)
     print(f"params before: {model.param_total()}")

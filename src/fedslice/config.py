@@ -17,7 +17,7 @@ from .nn import ModelConfig
 _MODEL_KEYS = {"n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
                "vocab_size", "n_classes", "max_seq"}
 _FED_KEYS = {"n_clients", "participation_rate", "rounds", "ratio_set",
-             "master_seed", "aggregation", "eval_every"}
+             "master_seed", "eval_every"}
 _TASK_KEYS = {"kind", "vocab_size", "seq_len", "n_classes", "n_samples", "seed"}
 _PARTITION_KEYS = {"dirichlet_alpha", "seed"}
 _SPP_KEYS = {"permute_qk", "permute_vo", "permute_ffn"}
@@ -63,7 +63,7 @@ def parse_run_config(text: str, seed_override: int | None = None) -> RunConfig:
     _require_keys(model_doc, _MODEL_KEYS, "model")
     fed_doc = dict(doc["federation"])
     _require_keys(fed_doc, _FED_KEYS, "federation",
-                  required=_FED_KEYS - {"aggregation", "eval_every"})
+                  required=_FED_KEYS - {"eval_every"})
     task_doc = doc["task"]
     _require_keys(task_doc, _TASK_KEYS, "task")
     part_doc = doc["partition"]
@@ -83,7 +83,6 @@ def parse_run_config(text: str, seed_override: int | None = None) -> RunConfig:
             rounds=fed_doc["rounds"],
             ratio_set=tuple(fed_doc["ratio_set"]),
             master_seed=fed_doc["master_seed"],
-            aggregation=fed_doc.get("aggregation", "coverage-average"),
             eval_every=fed_doc.get("eval_every", 1),
             permute_qk=spp_doc.get("permute_qk", True),
             permute_vo=spp_doc.get("permute_vo", True),

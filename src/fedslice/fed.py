@@ -24,7 +24,7 @@ from .errors import AggregationError, ConfigError, NumericError, ValidationError
 from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
-                      param_count, prioritize_model, sample_submodel_spec)
+                      param_count, prioritize_model, sample_submodel_spec, slice_plan)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -57,7 +57,6 @@ class FederationConfig:
     rounds: int
     ratio_set: tuple
     master_seed: int
-    aggregation: str = "coverage-average"
     eval_every: int = 1
     permute_qk: bool = True
     permute_vo: bool = True
@@ -68,8 +67,6 @@ class FederationConfig:
             raise ConfigError("participation_rate must be in (0, 1]")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
-        if self.aggregation != "coverage-average":
-            raise ConfigError(f"unknown aggregation mode {self.aggregation!r}")
 
 
 @dataclass
@@ -127,66 +124,25 @@ def local_train(sub: ModelWeights, profile: ClientProfile) -> ModelWeights:
     return w
 
 
-def _coverage_indices(name: str, spec: SubmodelSpec, cfg: ModelConfig):
-    """Index arrays selecting, inside the global tensor, the coordinates a
-    sub-model covers; None means full coverage."""
-    if name.startswith("layer"):
-        layer = int(name.split(".")[0][len("layer"):])
-        rest = name.split(".", 1)[1]
-        if rest.startswith("head"):
-            head = int(rest.split(".")[0][len("head"):])
-            kind = rest.split(".")[1]
-            qk = spec.qk_widths[layer][head]
-            v = spec.v_widths[layer][head]
-            if kind in ("wq", "wk"):
-                return (slice(None), slice(0, qk))
-            if kind in ("bq", "bk"):
-                return (slice(0, qk),)
-            if kind == "wv":
-                return (slice(None), slice(0, v))
-            if kind == "bv":
-                return (slice(0, v),)
-        elif rest == "wo":
-            rows = []
-            for h in range(cfg.n_heads):
-                lo = h * cfg.d_v
-                rows.extend(range(lo, lo + spec.v_widths[layer][h]))
-            return (np.asarray(rows, dtype=np.intp), slice(None))
-        elif rest == "w1":
-            return (slice(None), slice(0, spec.ffn_widths[layer]))
-        elif rest == "b1":
-            return (slice(0, spec.ffn_widths[layer]),)
-        elif rest == "w2":
-            return (slice(0, spec.ffn_widths[layer]), slice(None))
-    return None  # embed, classifier, norms, remaining biases: full coverage
-
-
 def aggregate(global_w: ModelWeights,
               updates: list[tuple[SubmodelSpec, ModelWeights]]) -> ModelWeights:
     """Per-coordinate mean over covering clients; uncovered coordinates keep
     the previous global value."""
     cfg = global_w.config
+    shapes = {name: arr.shape for name, arr in global_w.tensors.items()}
     sums = {name: np.zeros_like(arr) for name, arr in global_w.tensors.items()}
     counts = {name: np.zeros(arr.shape, dtype=np.int64)
               for name, arr in global_w.tensors.items()}
     for spec, w in updates:
         spec.validate(cfg)
-        for name, garr in global_w.tensors.items():
-            idx = _coverage_indices(name, spec, cfg)
+        for name, idx in slice_plan(spec, shapes).items():
             sub = w.tensors[name]
-            if idx is None:
-                if sub.shape != garr.shape:
-                    raise AggregationError(
-                        f"update tensor {name} has shape {sub.shape}, expected {garr.shape}")
-                sums[name] += sub
-                counts[name] += 1
-            else:
-                if sub.shape != sums[name][idx].shape:
-                    raise AggregationError(
-                        f"update tensor {name} has shape {sub.shape}, "
-                        f"spec expects {sums[name][idx].shape}")
-                sums[name][idx] += sub
-                counts[name][idx] += 1
+            if sub.shape != sums[name][idx].shape:
+                raise AggregationError(
+                    f"update tensor {name} has shape {sub.shape}, "
+                    f"spec expects {sums[name][idx].shape}")
+            sums[name][idx] += sub
+            counts[name][idx] += 1
     merged = {}
     for name, garr in global_w.tensors.items():
         c = counts[name]

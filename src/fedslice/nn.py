@@ -152,9 +152,6 @@ def init_weights(cfg: ModelConfig, seed: int) -> ModelWeights:
     return ModelWeights(cfg, tensors)
 
 
-GradientSet = dict
-
-
 def attention_scores(wq: np.ndarray, wk: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-stochastic score matrix softmax(x wq (x wk)^T / sqrt(d_k))."""
     if wq.shape != wk.shape:
@@ -265,7 +262,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(loss), dlogits / n
 
 
-def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> GradientSet:
+def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> dict:
     if cache.weights is not w:
         raise ValidationError("cache does not belong to these weights")
     labels = np.asarray(labels, dtype=np.intp)
@@ -273,7 +270,7 @@ def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> Gradie
         raise ValidationError("labels do not match the cached batch")
 
     cfg = w.config
-    grads: GradientSet = {name: np.zeros_like(arr) for name, arr in w.tensors.items()}
+    grads = {name: np.zeros_like(arr) for name, arr in w.tensors.items()}
     _, dlogits = softmax_cross_entropy(cache.logits, labels)
 
     grads["cls.w"] = cache.pooled.T @ dlogits
@@ -334,7 +331,7 @@ def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> Gradie
     return grads
 
 
-def sgd_step(w: ModelWeights, g: GradientSet, lr: float) -> ModelWeights:
+def sgd_step(w: ModelWeights, g: dict[str, np.ndarray], lr: float) -> ModelWeights:
     if lr < 0:
         raise ValidationError("learning rate must be >= 0")
     for name, grad in g.items():

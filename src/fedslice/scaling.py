@@ -11,14 +11,28 @@ matrix's rows, which preserves the full forward function exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, ValidationError
-from .nn import ModelConfig, ModelWeights, attention_scores
-from .tensor import RngStream, check_permutation, inverse_permutation
+from .nn import ModelConfig, ModelWeights, attention_scores, full_shapes
+from .tensor import RngStream, check_permutation
+
+# The one definition of which coordinates a spec selects: per-layer tensor ->
+# (the spec width that cuts it, the axis it cuts). A head{h} tensor is cut by
+# its own head's width; a layer tensor lays the layer's widths of the family
+# end to end in head order (wo rows hold every head's v channels).
+CUTS = {
+    "head{h}.wq": ("qk", 1), "head{h}.bq": ("qk", 0),
+    "head{h}.wk": ("qk", 1), "head{h}.bk": ("qk", 0),
+    "head{h}.wv": ("v", 1), "head{h}.bv": ("v", 0), "wo": ("v", 0),
+    "w1": ("ffn", 1), "b1": ("ffn", 0), "w2": ("ffn", 0),
+}
+# a model's own widths are read from the first tensor CUTS lists per family
+_WIDTH_SOURCE = {family: (tmpl, axis) for tmpl, (family, axis) in reversed(CUTS.items())}
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,19 @@ class SubmodelSpec:
                 "v_widths": [list(x) for x in self.v_widths]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SubmodelSpec":
-        return cls(ffn_widths=tuple(d["ffn_widths"]),
-                   qk_widths=tuple(tuple(x) for x in d["qk_widths"]),
-                   v_widths=tuple(tuple(x) for x in d["v_widths"]))
+    def from_dict(cls, d) -> "SubmodelSpec":
+        """Parse the ``to_dict`` form; ValidationError on any other structure."""
+        try:
+            spec = cls(ffn_widths=tuple(d["ffn_widths"]),
+                       qk_widths=tuple(map(tuple, d["qk_widths"])),
+                       v_widths=tuple(map(tuple, d["v_widths"])))
+        except (KeyError, TypeError) as exc:
+            raise ValidationError("spec must hold ffn_widths, qk_widths and v_widths "
+                                  f"lists: {exc!r}") from exc
+        if any(type(v) is not int
+               for v in spec.ffn_widths + sum(spec.qk_widths + spec.v_widths, ())):
+            raise ValidationError("spec widths must be integers")
+        return spec
 
 
 def full_spec(cfg: ModelConfig) -> SubmodelSpec:
@@ -124,47 +147,31 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
     Per head the SAME joint-salience permutation goes to W^q and W^k columns
     (and their biases). With permute_vo, a per-head W^v column permutation is
     mirrored on the matching W^o rows; with permute_ffn, the W^1 column
-    permutation is mirrored on W^2 rows.
+    permutation is mirrored on W^2 rows. Each permutation moves its family's
+    channels along the axes CUTS gives, so a cut keeps the most salient ones.
     """
     cfg = w.config
     out = w.copy()
+    have = _by_family(spec_of({name: arr.shape for name, arr in w.tensors.items()},
+                              cfg.n_layers, cfg.n_heads))
     rec = PrioritizationRecord(permuted_qk=permute_qk, permuted_vo=permute_vo,
                                permuted_ffn=permute_ffn)
     for i in range(cfg.n_layers):
-        qk_layer, vo_layer = [], []
+        perms = {family: [np.arange(k) for k in widths[i]] for family, widths in have.items()}
         for h in range(cfg.n_heads):
             p = f"layer{i}.head{h}"
-            dk = out[f"{p}.wq"].shape[1]
-            dv = out[f"{p}.wv"].shape[1]
             if permute_qk:
-                perm = rank_channels(joint_qk_salience(out[f"{p}.wq"], out[f"{p}.wk"]))
-                out.tensors[f"{p}.wq"] = out[f"{p}.wq"][:, perm]
-                out.tensors[f"{p}.wk"] = out[f"{p}.wk"][:, perm]
-                out.tensors[f"{p}.bq"] = out[f"{p}.bq"][perm]
-                out.tensors[f"{p}.bk"] = out[f"{p}.bk"][perm]
-            else:
-                perm = np.arange(dk)
-            qk_layer.append(perm)
+                perms["qk"][h] = rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"]))
             if permute_vo:
-                vperm = rank_channels(salience_l1(out[f"{p}.wv"], "cols"))
-                out.tensors[f"{p}.wv"] = out[f"{p}.wv"][:, vperm]
-                out.tensors[f"{p}.bv"] = out[f"{p}.bv"][vperm]
-                lo = sum(out.v_width(i, g) for g in range(h))
-                wo = out.tensors[f"layer{i}.wo"]
-                wo[lo:lo + dv, :] = wo[lo:lo + dv, :][vperm, :]
-            else:
-                vperm = np.arange(dv)
-            vo_layer.append(vperm)
+                perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"], "cols"))
         if permute_ffn:
-            fperm = rank_channels(salience_l1(out[f"layer{i}.w1"], "cols"))
-            out.tensors[f"layer{i}.w1"] = out[f"layer{i}.w1"][:, fperm]
-            out.tensors[f"layer{i}.b1"] = out[f"layer{i}.b1"][fperm]
-            out.tensors[f"layer{i}.w2"] = out[f"layer{i}.w2"][fperm, :]
-        else:
-            fperm = np.arange(out.ffn_width(i))
-        rec.qk_perms.append(qk_layer)
-        rec.vo_perms.append(vo_layer)
-        rec.ffn_perms.append(fperm)
+            perms["ffn"] = [rank_channels(salience_l1(w[f"layer{i}.w1"], "cols"))]
+        for name, family, axis, h in _cut_tensors(i, cfg.n_heads):
+            perm = perms[family][h] if h is not None else _stack(perms[family], have[family][i])
+            out.tensors[name] = np.take(w[name], perm, axis=axis)
+        rec.qk_perms.append(perms["qk"])
+        rec.vo_perms.append(perms["v"])
+        rec.ffn_perms.append(perms["ffn"][0])
     return out, rec
 
 
@@ -178,27 +185,35 @@ def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
     return float((np.abs(base - permuted) / denom).max())
 
 
+def _by_family(spec: SubmodelSpec) -> dict:
+    """The spec's widths by CUTS family, layer and head (the FFN is one head)."""
+    return {"qk": spec.qk_widths, "v": spec.v_widths,
+            "ffn": tuple((w,) for w in spec.ffn_widths)}
+
+
+def _width_sums(spec: SubmodelSpec) -> dict:
+    return {family: sum(map(sum, rows)) for family, rows in _by_family(spec).items()}
+
+
+@functools.lru_cache(maxsize=16)
+def _param_costs(cfg: ModelConfig) -> tuple:
+    """(fixed, ((family, cost per unit of width), ...)): a spec's parameter
+    count is fixed + sum(cost x its total width of the family)."""
+    shapes = full_shapes(cfg)
+    per_unit = dict.fromkeys(_WIDTH_SOURCE, 0)
+    for name, family, axis, _ in _cut_tensors(0, 1):
+        per_unit[family] += math.prod(shapes[name]) // shapes[name][axis]
+    full = _width_sums(full_spec(cfg))
+    fixed = sum(map(math.prod, shapes.values())) - sum(per_unit[f] * full[f] for f in per_unit)
+    return fixed, tuple(per_unit.items())
+
+
 def param_count(spec: SubmodelSpec, cfg: ModelConfig) -> int:
     """Exact trainable-parameter count of the sub-model the spec selects."""
     spec.validate(cfg)
-    d = cfg.d_model
-    total = cfg.vocab_size * d            # embedding
-    total += d * cfg.n_classes + cfg.n_classes  # classifier
-    for i in range(cfg.n_layers):
-        total += 4 * d                    # two layer norms
-        total += 2 * d                    # bo, b2
-        v_sum = 0
-        for h in range(cfg.n_heads):
-            qk = spec.qk_widths[i][h]
-            v = spec.v_widths[i][h]
-            total += 2 * (d * qk + qk)    # wq+bq, wk+bk
-            total += d * v + v            # wv+bv
-            v_sum += v
-        total += v_sum * d                # wo
-        ffn = spec.ffn_widths[i]
-        total += d * ffn + ffn            # w1+b1
-        total += ffn * d                  # w2
-    return total
+    fixed, per_unit = _param_costs(cfg)
+    sums = _width_sums(spec)
+    return fixed + sum(cost * sums[family] for family, cost in per_unit)
 
 
 def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
@@ -234,44 +249,81 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
     return floor
 
 
+def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:
+    """The spec whose widths a model with these tensor shapes has."""
+    def read(family, n):
+        tmpl, axis = _WIDTH_SOURCE[family]
+        return tuple(tuple(shapes[f"layer{i}.{tmpl.format(h=h)}"][axis] for h in range(n))
+                     for i in range(n_layers))
+    return SubmodelSpec(ffn_widths=tuple(f for (f,) in read("ffn", 1)),
+                        qk_widths=read("qk", n_heads), v_widths=read("v", n_heads))
+
+
+def _cut_tensors(layer: int, n_heads: int):
+    """(name, family, axis, head) of each tensor CUTS names at a layer; head
+    is None for a layer tensor, which stacks the family's heads along axis."""
+    for tmpl, (family, axis) in CUTS.items():
+        if "{h}" in tmpl:
+            for h in range(n_heads):
+                yield f"layer{layer}.{tmpl.format(h=h)}", family, axis, h
+        else:
+            yield f"layer{layer}.{tmpl}", family, axis, None
+
+
+def _stack(picks: list, have: tuple) -> np.ndarray:
+    """Index along an axis of blocks of widths `have`, laid end to end, that
+    takes the entries picks[b] of each block b."""
+    starts = np.cumsum((0,) + have[:-1])
+    return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
+
+
+def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
+    """For every tensor of a model with these shapes, the index that selects
+    the coordinates the spec keeps (``()`` keeps the whole tensor). Rows of
+    wo are placed by the model's own per-head v widths, so the model may
+    itself be a sub-model; a spec wider than it raises ShapeError."""
+    plan = dict.fromkeys(shapes, ())
+    keep = _by_family(spec)
+    n_layers, n_heads = len(spec.ffn_widths), len(spec.qk_widths[0])
+    have = _by_family(spec_of(shapes, n_layers, n_heads))
+    for family in keep:
+        if any(k > h for ks, hs in zip(keep[family], have[family]) for k, h in zip(ks, hs)):
+            raise ShapeError(f"spec {family} widths {keep[family]} exceed the "
+                             f"weights' {have[family]}")
+    for i in range(n_layers):
+        for name, family, axis, h in _cut_tensors(i, n_heads):
+            k, hv = keep[family][i], have[family][i]
+            if h is not None:
+                kept = slice(0, k[h])
+            elif k[:-1] == hv[:-1]:  # one contiguous run
+                kept = slice(0, sum(k))
+            else:
+                kept = _stack([range(n) for n in k], hv)
+            plan[name] = (slice(None),) * axis + (kept,)
+    return plan
+
+
+def plan_shape(shape: tuple, idx: tuple) -> tuple:
+    """The shape of ``arr[idx]`` for an array of this shape and an index
+    from slice_plan."""
+    cut = tuple(len(range(n)[i]) if isinstance(i, slice) else len(i)
+                for n, i in zip(shape, idx))
+    return cut + tuple(shape[len(idx):])
+
+
 def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> ModelWeights:
-    """Slice the leading channels per the spec; W^o/W^2 rows follow their
-    producers' columns."""
-    cfg = w_prioritized.config
-    spec.validate(cfg)
+    """Copy out the coordinates the spec keeps: the leading channels of
+    every cut tensor."""
+    spec.validate(w_prioritized.config)
     src = w_prioritized.tensors
-    out: dict[str, np.ndarray] = {}
-    for name, arr in src.items():
-        out[name] = arr.copy()
-    for i in range(cfg.n_layers):
-        keep_rows = []
-        for h in range(cfg.n_heads):
-            p = f"layer{i}.head{h}"
-            qk = spec.qk_widths[i][h]
-            v = spec.v_widths[i][h]
-            if qk > src[f"{p}.wq"].shape[1] or v > src[f"{p}.wv"].shape[1]:
-                raise ShapeError(f"spec width exceeds weights at layer {i} head {h}")
-            out[f"{p}.wq"] = src[f"{p}.wq"][:, :qk].copy()
-            out[f"{p}.bq"] = src[f"{p}.bq"][:qk].copy()
-            out[f"{p}.wk"] = src[f"{p}.wk"][:, :qk].copy()
-            out[f"{p}.bk"] = src[f"{p}.bk"][:qk].copy()
-            out[f"{p}.wv"] = src[f"{p}.wv"][:, :v].copy()
-            out[f"{p}.bv"] = src[f"{p}.bv"][:v].copy()
-            lo = sum(w_prioritized.v_width(i, g) for g in range(h))
-            keep_rows.extend(range(lo, lo + v))
-        out[f"layer{i}.wo"] = src[f"layer{i}.wo"][keep_rows, :].copy()
-        ffn = spec.ffn_widths[i]
-        if ffn > src[f"layer{i}.w1"].shape[1]:
-            raise ShapeError(f"spec FFN width exceeds weights at layer {i}")
-        out[f"layer{i}.w1"] = src[f"layer{i}.w1"][:, :ffn].copy()
-        out[f"layer{i}.b1"] = src[f"layer{i}.b1"][:ffn].copy()
-        out[f"layer{i}.w2"] = src[f"layer{i}.w2"][:ffn, :].copy()
-    return ModelWeights(cfg, out)
+    plan = slice_plan(spec, {name: arr.shape for name, arr in src.items()})
+    return ModelWeights(w_prioritized.config,
+                        {name: src[name][idx].copy() for name, idx in plan.items()})
 
 
 __all__ = [
     "ResourceBudget", "SubmodelSpec", "PrioritizationRecord",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
-    "full_spec", "uniform_spec", "min_spec", "inverse_permutation",
+    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "plan_shape", "spec_of",
 ]

@@ -14,16 +14,6 @@ from .errors import ShapeError, ValidationError
 _MASK64 = (1 << 64) - 1
 
 
-def tensor2(data) -> np.ndarray:
-    """Coerce to a 2-D float64 array, validating rank and finiteness."""
-    a = np.asarray(data, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("tensor contains non-finite entries")
-    return a
-
-
 def _check2d(a: np.ndarray, name: str = "input") -> None:
     if not isinstance(a, np.ndarray) or a.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D array")
@@ -47,45 +37,11 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def slice_cols(a: np.ndarray, k: int) -> np.ndarray:
-    _check2d(a)
-    if not 1 <= k <= a.shape[1]:
-        raise ShapeError(f"column count {k} out of range [1, {a.shape[1]}]")
-    return a[:, :k].copy()
-
-
-def slice_rows(a: np.ndarray, k: int) -> np.ndarray:
-    _check2d(a)
-    if not 1 <= k <= a.shape[0]:
-        raise ShapeError(f"row count {k} out of range [1, {a.shape[0]}]")
-    return a[:k, :].copy()
-
-
 def check_permutation(p, n: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.intp)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         raise ValidationError(f"not a permutation of [0, {n}): {p.tolist()}")
     return p
-
-
-def permute_cols(a: np.ndarray, p) -> np.ndarray:
-    """Output column j is input column p[j]."""
-    _check2d(a)
-    p = check_permutation(p, a.shape[1])
-    return a[:, p].copy()
-
-
-def permute_rows(a: np.ndarray, p) -> np.ndarray:
-    _check2d(a)
-    p = check_permutation(p, a.shape[0])
-    return a[p, :].copy()
-
-
-def inverse_permutation(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.intp)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p))
-    return inv
 
 
 class RngStream:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fedslice import cli
-from fedslice.checkpoint import read_checkpoint, write_checkpoint
+from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
+                                 write_checkpoint)
 from fedslice.config import parse_run_config
 from fedslice.errors import ConfigError, FormatError
 from fedslice.nn import ModelConfig, init_weights
+from fedslice.scaling import param_count, uniform_spec
 
 
 def run_config_doc(**overrides):
@@ -44,8 +46,8 @@ class TestCheckpoint:
     def test_roundtrip_model_bit_exact(self, tmp_path):
         w = init_weights(ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8), 7)
         path = tmp_path / "m.rffm"
-        write_checkpoint(path, cli.model_to_tensors(w))
-        back = cli.tensors_to_model(read_checkpoint(path))
+        write_checkpoint(path, model_to_tensors(w))
+        back = tensors_to_model(read_checkpoint(path))
         assert back.config == w.config
         assert all(np.array_equal(w.tensors[k], back.tensors[k]) for k in w.tensors)
 
@@ -94,10 +96,12 @@ class TestCheckpoint:
 
 class TestRunConfig:
     def test_unknown_key_rejected(self):
-        doc = run_config_doc()
-        doc["model"]["d_modle"] = 8
-        with pytest.raises(ConfigError, match="d_modle"):
-            parse_run_config(json.dumps(doc))
+        for section, key, value in [("model", "d_modle", 8),
+                                    ("federation", "aggregation", "coverage-average")]:
+            doc = run_config_doc()
+            doc[section][key] = value
+            with pytest.raises(ConfigError, match=key):
+                parse_run_config(json.dumps(doc))
 
     def test_unknown_top_level_key_rejected(self):
         doc = run_config_doc()
@@ -172,14 +176,14 @@ class TestCmdExtractInspect:
         cfg = ModelConfig(1, 8, 2, 4, 4, 16, 11, 3, 10)
         w = init_weights(cfg, 2)
         ckpt_in = tmp_path / "in.rffm"
-        write_checkpoint(ckpt_in, cli.model_to_tensors(w))
+        write_checkpoint(ckpt_in, model_to_tensors(w))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"ratio": 0.5}))
         ckpt_out = tmp_path / "out.rffm"
         assert cli.main(["extract", str(ckpt_in), str(spec_path), str(ckpt_out)]) == 0
         out = capsys.readouterr().out
         assert f"params before: {w.param_total()}" in out
-        sub = cli.tensors_to_model(read_checkpoint(ckpt_out))
+        sub = tensors_to_model(read_checkpoint(ckpt_out))
         assert sub.param_total() < w.param_total()
         assert f"params after:  {sub.param_total()}" in out
 
@@ -187,25 +191,76 @@ class TestCmdExtractInspect:
         cfg = ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8)
         w = init_weights(cfg, 4)
         ckpt_in = tmp_path / "in.rffm"
-        write_checkpoint(ckpt_in, cli.model_to_tensors(w))
+        write_checkpoint(ckpt_in, model_to_tensors(w))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"ratio": 1.0}))
         ckpt_out = tmp_path / "out.rffm"
         assert cli.main(["extract", str(ckpt_in), str(spec_path), str(ckpt_out)]) == 0
-        sub = cli.tensors_to_model(read_checkpoint(ckpt_out))
+        sub = tensors_to_model(read_checkpoint(ckpt_out))
         from fedslice.scaling import prioritize_model
         wp, _ = prioritize_model(w)
         assert all(np.array_equal(wp.tensors[k], sub.tensors[k]) for k in wp.tensors)
 
-    def test_incompatible_spec_exits_1(self, tmp_path):
+    def test_incompatible_spec_exits_1(self, tmp_path, capsys):
         cfg = ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8)
         ckpt_in = tmp_path / "in.rffm"
-        write_checkpoint(ckpt_in, cli.model_to_tensors(init_weights(cfg, 1)))
+        write_checkpoint(ckpt_in, model_to_tensors(init_weights(cfg, 1)))
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"ffn_widths": [99], "qk_widths": [[3, 3]],
-                                         "v_widths": [[3, 3]]}))
-        assert cli.main(["extract", str(ckpt_in), str(spec_path),
-                         str(tmp_path / "o.rffm")]) == 1
+        specs = [{"ffn_widths": [99], "qk_widths": [[3, 3]], "v_widths": [[3, 3]]},
+                 {"ratio": 0}, {"ratio": -1}, {"ratio": float("nan")},
+                 {"ratio": 1.5}, {"ratio": True}, {"ratio": "0.5"},
+                 {"ratio": 0.5, "ffn_widths": [4]}, [1, 2],
+                 {"ffn_widths": [4], "qk_widths": [[3, 3]]},
+                 {"ffn_widths": [4.5], "qk_widths": [[3, 3]], "v_widths": [[3, 3]]},
+                 {"ffn_widths": [4], "qk_widths": [3, 3], "v_widths": [[3, 3]]}]
+        for text in [json.dumps(spec) for spec in specs] + ['{"ratio": ']:
+            spec_path.write_text(text)
+            assert cli.main(["extract", str(ckpt_in), str(spec_path),
+                             str(tmp_path / "o.rffm")]) == 1, text
+            assert capsys.readouterr().err.startswith("error:"), text
+        assert not (tmp_path / "o.rffm").exists()
+
+    def test_extract_from_narrow_checkpoint(self, tmp_path):
+        cfg = ModelConfig(2, 6, 3, 4, 3, 8, 11, 3, 8)
+        paths = [tmp_path / f"m{i}.rffm" for i in range(4)]
+        write_checkpoint(paths[0], model_to_tensors(init_weights(cfg, 6)))
+        spec_path = tmp_path / "spec.json"
+        for ratio, src, dst, code in [(0.5, 0, 1, 0), (0.25, 1, 2, 0), (1.0, 1, 3, 1)]:
+            spec_path.write_text(json.dumps({"ratio": ratio}))
+            assert cli.main(["extract", str(paths[src]), str(spec_path),
+                             str(paths[dst])]) == code, ratio
+        assert tensors_to_model(read_checkpoint(paths[2])).param_total() \
+            == param_count(uniform_spec(cfg, 0.25), cfg)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: t.pop("layer0.head1.wk"),
+        lambda t: t.update(stray=np.zeros(2)),
+        lambda t: t.update({"layer0.head0.wq": np.zeros((5, 3))}),
+        lambda t: t.update({"layer0.bo": np.zeros((6, 1))}),
+        lambda t: t.update({"layer0.w1": np.zeros((6, 9)), "layer0.b1": np.zeros(9),
+                            "layer0.w2": np.zeros((9, 6))}),
+        lambda t: t.update({"layer0.head0.wk": np.zeros((6, 2))}),
+        lambda t: t.update({"layer0.wo": np.zeros((5, 6))}),
+        lambda t: t["__config__"].__setitem__(1, 6.5),
+        lambda t: t["__config__"].__setitem__(0, 0.0),
+        lambda t: t.update(__config__=np.ones(3)),
+        lambda t: t["__config__"].__setitem__(0, 1e12),
+    ], ids=["missing-tensor", "extra-tensor", "wq-wrong-d_model", "wrong-rank",
+            "ffn-wider-than-config", "qk-widths-disagree", "wo-rows-disagree",
+            "config-not-integer", "config-zero", "config-short", "config-huge"])
+    def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, corrupt):
+        tensors = model_to_tensors(init_weights(ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8), 1))
+        corrupt(tensors)
+        ckpt_in = tmp_path / "in.rffm"
+        write_checkpoint(ckpt_in, tensors)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"ratio": 0.5}))
+        ckpt_out = tmp_path / "out.rffm"
+        assert cli.main(["extract", str(ckpt_in), str(spec_path), str(ckpt_out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not ckpt_out.exists()
+        with pytest.raises(FormatError):
+            tensors_to_model(tensors)
 
     def test_inspect_manifest(self, tmp_path, capsys):
         path = tmp_path / "t.rffm"

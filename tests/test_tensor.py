@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from fedslice.errors import ShapeError, ValidationError
-from fedslice.tensor import (RngStream, inverse_permutation, matmul,
-                             permute_cols, permute_rows, slice_cols,
-                             slice_rows, softmax_rows, tensor2)
+from fedslice.tensor import RngStream, check_permutation, matmul, softmax_rows
 
 
 class TestMatmul:
@@ -53,61 +51,10 @@ class TestSoftmaxRows:
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
 
-class TestSlicing:
-    def test_slice_cols(self):
-        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert np.array_equal(slice_cols(a, 2), [[1.0, 2.0], [4.0, 5.0]])
-
-    def test_slice_all_is_identity(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(slice_cols(a, 3), a)
-
-    def test_slice_rows(self):
-        assert np.array_equal(slice_rows(np.array([[1.0], [2.0], [3.0]]), 1), [[1.0]])
-
-    def test_source_unchanged(self):
-        a = np.arange(6.0).reshape(2, 3)
-        before = a.copy()
-        slice_cols(a, 1)[0, 0] = 99.0
-        assert np.array_equal(a, before)
-
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_out_of_range(self, k):
-        with pytest.raises(ShapeError):
-            slice_cols(np.zeros((2, 3)), k)
-
-
 class TestPermutation:
-    def test_permute_cols(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(permute_cols(a, [1, 0]), [[2.0, 1.0], [4.0, 3.0]])
-
-    def test_identity_permutation(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(permute_cols(a, [0, 1, 2]), a)
-
-    def test_inverse_restores_bit_exact(self):
-        rng = RngStream(11, 0)
-        a = rng.uniform(-1, 1, (4, 6))
-        p = rng.permutation(6)
-        back = permute_cols(permute_cols(a, p), inverse_permutation(p))
-        assert np.array_equal(back, a)
-        q = rng.permutation(4)
-        assert np.array_equal(permute_rows(permute_rows(a, q), inverse_permutation(q)), a)
-
     def test_non_bijective_rejected(self):
         with pytest.raises(ValidationError):
-            permute_cols(np.zeros((2, 3)), [0, 0, 1])
-
-
-class TestTensor2:
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            tensor2([1.0, 2.0])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValidationError):
-            tensor2([[np.nan, 1.0]])
+            check_permutation([0, 0, 1], 3)
 
 
 class TestRngStream:
