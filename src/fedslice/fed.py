@@ -6,16 +6,16 @@ global coordinate becomes the mean over the clients whose spec covers it,
 and uncovered coordinates carry over unchanged. With full-width specs this
 reduces exactly to FedAvg.
 
+Participants are handled one at a time: each one's sub-model is extracted
+just before it trains, so a round holds one untrained sub-model at a time.
 All randomness flows through named Philox streams derived from the master
-seed, so runs are reproducible regardless of thread scheduling; the
-``RAFFM_THREADS`` env var caps client-training parallelism (0 = serial).
+seed, one per stage, round and client, so the order of the work does not
+change any draw.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +110,9 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
-def local_train(sub: ModelWeights, profile: ClientProfile) -> ModelWeights:
-    """local_epochs full passes of SGD over the shard, fixed batch order."""
-    w = sub
+def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
+    """local_epochs full passes of SGD over the shard, fixed batch order.
+    Unless the caller keeps a reference, `w` is freed after the first step."""
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
             logits, cache = forward(w, batch)
@@ -120,6 +120,7 @@ def local_train(sub: ModelWeights, profile: ClientProfile) -> ModelWeights:
             if not np.isfinite(loss):
                 raise NumericError(f"client {profile.client_id}: non-finite loss")
             grads = backward(w, cache, batch.labels)
+            del cache  # it holds the activations and the pre-step weights
             w = sgd_step(w, grads, profile.lr)
     return w
 
@@ -153,13 +154,6 @@ def aggregate(global_w: ModelWeights,
     return ModelWeights(cfg, merged)
 
 
-def _thread_count() -> int:
-    try:
-        return max(0, int(os.environ.get("RAFFM_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
 def run_round(state: FederationState, cfg: FederationConfig,
               eval_batches=None) -> tuple[FederationState, RoundRecord]:
     """One communication round: prioritize, sample specs, extract, local
@@ -176,9 +170,11 @@ def run_round(state: FederationState, cfg: FederationConfig,
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
     model_cfg = state.global_weights.config
-    dispatches = []
-    bytes_down = 0
     client_specs = []
+    updates = []
+    dropped = []
+    bytes_down = 0
+    bytes_up = 0
     for cid in participants:
         profile = state.profiles[cid]
         spec_rng = RngStream(seed, STREAM_SPEC + (t << 20) + cid)
@@ -187,35 +183,16 @@ def run_round(state: FederationState, cfg: FederationConfig,
         if n_params > profile.budget.max_params:
             raise AggregationError(
                 f"client {cid}: sampled spec exceeds budget ({n_params} params)")
-        sub = extract_submodel(prioritized, spec)
         bytes_down += n_params * BYTES_PER_PARAM
         client_specs.append({"client_id": cid, "spec": spec.to_dict(),
                              "param_count": n_params})
-        dispatches.append((cid, spec, sub, profile))
-
-    def train_one(item):
-        cid, spec, sub, profile = item
         try:
-            return cid, spec, local_train(sub, profile), None
+            trained = local_train(extract_submodel(prioritized, spec), profile)
         except NumericError as exc:
-            return cid, spec, None, str(exc)
-
-    threads = _thread_count()
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(train_one, dispatches))
-    else:
-        results = [train_one(item) for item in dispatches]
-
-    updates = []
-    dropped = []
-    bytes_up = 0
-    for cid, spec, trained, err in results:
-        if err is not None:
-            dropped.append({"client_id": cid, "reason": err})
+            dropped.append({"client_id": cid, "reason": str(exc)})
             continue
         updates.append((spec, trained))
-        bytes_up += param_count(spec, model_cfg) * BYTES_PER_PARAM
+        bytes_up += n_params * BYTES_PER_PARAM
 
     new_global = aggregate(prioritized, updates) if updates else state.global_weights
 

@@ -182,14 +182,14 @@ def _layer_norm_backward(dy: np.ndarray, scale: np.ndarray, ln_cache):
 
 @dataclass
 class _LayerCache:
-    a1: np.ndarray
-    ln1: tuple
+    """The activations of one layer that `backward` reads."""
+    a1: np.ndarray | None = None
+    ln1: tuple | None = None
     q: list = field(default_factory=list)
     k: list = field(default_factory=list)
     v: list = field(default_factory=list)
     probs: list = field(default_factory=list)
     o_cat: np.ndarray | None = None
-    x2: np.ndarray | None = None
     a2: np.ndarray | None = None
     ln2: tuple | None = None
     h1: np.ndarray | None = None
@@ -205,7 +205,42 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def forward(w: ModelWeights, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
+def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
+                   cache: _LayerCache | None) -> np.ndarray:
+    """Layer i applied to x; its activations go into `cache` unless it is
+    None, in which case they are freed on return."""
+    a1, ln1 = _layer_norm(x, w[f"layer{i}.ln1.scale"], w[f"layer{i}.ln1.shift"])
+    heads = []
+    for h in range(w.config.n_heads):
+        p = f"layer{i}.head{h}"
+        q = a1 @ w[f"{p}.wq"] + w[f"{p}.bq"]
+        k = a1 @ w[f"{p}.wk"] + w[f"{p}.bk"]
+        v = a1 @ w[f"{p}.wv"] + w[f"{p}.bv"]
+        scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1])
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        heads.append(probs @ v)
+        if cache is not None:
+            cache.q.append(q)
+            cache.k.append(k)
+            cache.v.append(v)
+            cache.probs.append(probs)
+    o_cat = np.concatenate(heads, axis=-1)
+    x2 = x + o_cat @ w[f"layer{i}.wo"] + w[f"layer{i}.bo"]
+    a2, ln2 = _layer_norm(x2, w[f"layer{i}.ln2.scale"], w[f"layer{i}.ln2.shift"])
+    h1 = a2 @ w[f"layer{i}.w1"] + w[f"layer{i}.b1"]
+    relu = np.maximum(h1, 0.0)
+    if cache is not None:
+        cache.a1, cache.ln1, cache.o_cat, cache.a2, cache.ln2 = a1, ln1, o_cat, a2, ln2
+        cache.h1, cache.relu = h1, relu
+    return x2 + relu @ w[f"layer{i}.w2"] + w[f"layer{i}.b2"]
+
+
+def forward(w: ModelWeights, batch: Batch,
+            keep_cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
+    """Logits for the batch and the cache `backward` needs. With
+    keep_cache=False each layer's activations are freed when it returns, and the
+    cache is None; the logits are the same bit for bit."""
     cfg = w.config
     tokens = batch.tokens
     if tokens.shape[1] > cfg.max_seq:
@@ -216,36 +251,14 @@ def forward(w: ModelWeights, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
         raise ValidationError("label out of class range")
 
     x = w["embed"][tokens]  # (B, l, d)
-    layer_caches = []
-    for i in range(cfg.n_layers):
-        a1, ln1 = _layer_norm(x, w[f"layer{i}.ln1.scale"], w[f"layer{i}.ln1.shift"])
-        cache = _LayerCache(a1=a1, ln1=ln1)
-        heads = []
-        for h in range(cfg.n_heads):
-            p = f"layer{i}.head{h}"
-            q = a1 @ w[f"{p}.wq"] + w[f"{p}.bq"]
-            k = a1 @ w[f"{p}.wk"] + w[f"{p}.bk"]
-            v = a1 @ w[f"{p}.wv"] + w[f"{p}.bv"]
-            scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1])
-            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs /= probs.sum(axis=-1, keepdims=True)
-            heads.append(probs @ v)
-            cache.q.append(q)
-            cache.k.append(k)
-            cache.v.append(v)
-            cache.probs.append(probs)
-        o_cat = np.concatenate(heads, axis=-1)
-        x2 = x + o_cat @ w[f"layer{i}.wo"] + w[f"layer{i}.bo"]
-        a2, ln2 = _layer_norm(x2, w[f"layer{i}.ln2.scale"], w[f"layer{i}.ln2.shift"])
-        h1 = a2 @ w[f"layer{i}.w1"] + w[f"layer{i}.b1"]
-        relu = np.maximum(h1, 0.0)
-        x = x2 + relu @ w[f"layer{i}.w2"] + w[f"layer{i}.b2"]
-        cache.o_cat, cache.x2, cache.a2, cache.ln2 = o_cat, x2, a2, ln2
-        cache.h1, cache.relu = h1, relu
-        layer_caches.append(cache)
+    layer_caches = [_LayerCache() if keep_cache else None for _ in range(cfg.n_layers)]
+    for i, cache in enumerate(layer_caches):
+        x = _layer_forward(w, i, x, cache)
 
     pooled = x.mean(axis=1)
     logits = pooled @ w["cls.w"] + w["cls.b"]
+    if not keep_cache:
+        return logits, None
     return logits, ForwardCache(weights=w, batch=batch, layers=layer_caches,
                                 pooled=pooled, logits=logits)
 
@@ -262,7 +275,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(loss), dlogits / n
 
 
-def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> dict:
+def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) -> dict:
+    if cache is None:
+        raise ValidationError("backward needs the cache of forward(..., keep_cache=True)")
     if cache.weights is not w:
         raise ValidationError("cache does not belong to these weights")
     labels = np.asarray(labels, dtype=np.intp)
@@ -270,7 +285,7 @@ def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> dict:
         raise ValidationError("labels do not match the cached batch")
 
     cfg = w.config
-    grads = {name: np.zeros_like(arr) for name, arr in w.tensors.items()}
+    grads = dict.fromkeys(w.tensors)  # fixes the key order; every value is set below
     _, dlogits = softmax_cross_entropy(cache.logits, labels)
 
     grads["cls.w"] = cache.pooled.T @ dlogits
@@ -327,6 +342,7 @@ def backward(w: ModelWeights, cache: ForwardCache, labels: np.ndarray) -> dict:
         grads[f"layer{i}.ln1.shift"] = dsh1
         dx = dx2 + dx_ln
 
+    grads["embed"] = np.zeros_like(w["embed"])
     np.add.at(grads["embed"], cache.batch.tokens, dx)
     return grads
 
@@ -350,7 +366,7 @@ def evaluate(w: ModelWeights, batches) -> tuple[float, float]:
     total = 0
     loss_sum = 0.0
     for b in batches:
-        logits, _ = forward(w, b)
+        logits, _ = forward(w, b, keep_cache=False)
         loss, _ = softmax_cross_entropy(logits, b.labels)
         loss_sum += loss * len(b)
         correct += int((logits.argmax(axis=1) == b.labels).sum())

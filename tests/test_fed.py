@@ -1,6 +1,10 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 
+from fedslice import fed
 from fedslice.errors import AggregationError, ConfigError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, FederationState,
                           aggregate, local_train, measure_traffic, run_federation,
@@ -145,6 +149,27 @@ class TestLocalTrain:
         assert all(np.array_equal(expected.tensors[k], out.tensors[k])
                    for k in w.tensors)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments on the caller's stack")
+    def test_input_weights_freed_after_first_step(self, monkeypatch):
+        p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
+                          shard=[tiny_batch(0), tiny_batch(1)], local_epochs=2, lr=0.1)
+        refs, alive = [], []
+        real_forward = fed.forward
+
+        def spy_forward(w, batch, *args, **kwargs):
+            alive.append(refs[0]() is not None)
+            return real_forward(w, batch, *args, **kwargs)
+
+        def fresh_weights():
+            w = init_weights(TINY, 1)
+            refs.append(weakref.ref(w))
+            return w
+
+        monkeypatch.setattr(fed, "forward", spy_forward)
+        local_train(fresh_weights(), p)
+        assert alive == [True, False, False, False]
+
     def test_empty_shard_rejected(self):
         with pytest.raises(ValidationError):
             ClientProfile(client_id=0, budget=ResourceBudget(1), shard=[],
@@ -247,15 +272,47 @@ class TestRounds:
         assert all(np.array_equal(w0.tensors[k], final.tensors[k]) for k in w0.tensors)
 
     def test_diverged_client_is_dropped_not_fatal(self):
-        # first step overflows the weights; the second epoch sees a nan loss
-        profiles = make_profiles(TINY, 2, lr=1e300, local_epochs=2)
-        cfg = fed_cfg(n_clients=2, rounds=2, permute_qk=False, permute_vo=False,
-                      permute_ffn=False)
-        with np.errstate(all="ignore"):
-            final, log = run_federation(cfg, TINY, profiles)
-        assert all(len(r.dropped) == 2 for r in log)
-        w0 = init_weights(TINY, cfg.master_seed)
-        assert all(np.array_equal(w0.tensors[k], final.tensors[k]) for k in w0.tensors)
+        # first step overflows the weights; the second epoch sees a nan loss.
+        # With prioritization on, a round where every client is dropped must
+        # still return the previous global weights, not their prioritized copy.
+        w0 = init_weights(TINY, fed_cfg().master_seed)
+        assert any(not np.array_equal(w0.tensors[k], prioritize_model(w0)[0].tensors[k])
+                   for k in w0.tensors)
+        for permute in (False, True):
+            profiles = make_profiles(TINY, 2, lr=1e300, local_epochs=2)
+            cfg = fed_cfg(n_clients=2, rounds=2, permute_qk=permute, permute_vo=permute,
+                          permute_ffn=permute)
+            with np.errstate(all="ignore"):
+                final, log = run_federation(cfg, TINY, profiles)
+            assert all(len(r.dropped) == 2 for r in log)
+            assert all(w0.tensors[k].tobytes() == final.tensors[k].tobytes()
+                       for k in w0.tensors)
+
+    def test_each_client_is_extracted_after_the_previous_one_trained(self, monkeypatch):
+        events = []
+        real_extract, real_train = fed.extract_submodel, fed.local_train
+
+        def extract(w, spec):
+            events.append(("extract", spec.to_dict()))
+            return real_extract(w, spec)
+
+        def train(w, profile):
+            events.append(("train", profile.client_id))
+            out = real_train(w, profile)
+            events.append(("trained", profile.client_id))
+            return out
+
+        monkeypatch.setattr(fed, "extract_submodel", extract)
+        monkeypatch.setattr(fed, "local_train", train)
+        cfg = fed_cfg(ratio_set=(0.5, 0.75, 1.0), rounds=1)
+        state = FederationState(global_weights=init_weights(TINY, cfg.master_seed),
+                                profiles=make_profiles(TINY, 4))
+        _, rec = run_round(state, cfg)
+        assert len(rec.participants) == 4
+        expected = []
+        for cid, cs in zip(rec.participants, rec.client_specs):
+            expected += [("extract", cs["spec"]), ("train", cid), ("trained", cid)]
+        assert events == expected
 
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))

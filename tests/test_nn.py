@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fedslice.errors import NumericError, ValidationError
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
                          backward, evaluate, forward, init_weights, sgd_step,
                          softmax_cross_entropy)
+from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
 from fedslice.tensor import RngStream
 
 SMALL = ModelConfig(n_layers=1, d_model=6, n_heads=2, d_k=3, d_v=3, d_ff=8,
@@ -15,6 +18,10 @@ def small_batch(seed=0, n=4, seq=5, cfg=SMALL):
     rng = RngStream(seed, 900)
     return Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (n, seq))),
                  labels=np.asarray(rng.integers(0, cfg.n_classes, n)))
+
+
+DEEP = ModelConfig(n_layers=4, d_model=32, n_heads=4, d_k=8, d_v=8, d_ff=64,
+                   vocab_size=11, n_classes=3, max_seq=16)
 
 
 def zero_weights(cfg):
@@ -130,6 +137,21 @@ class TestBackward:
             if tok not in used:
                 assert np.array_equal(grads["embed"][tok], np.zeros(SMALL.d_model))
 
+    def test_gradients_follow_tensor_order(self):
+        w = extract_submodel(init_weights(SMALL, 5), uniform_spec(SMALL, 0.5))
+        batch = small_batch(3)
+        grads = backward(w, forward(w, batch)[1], batch.labels)
+        assert list(grads) == list(w.tensors)
+        assert all(grads[k].shape == v.shape for k, v in w.tensors.items())
+
+    def test_cache_free_result_rejected(self):
+        w = init_weights(SMALL, 5)
+        batch = small_batch(3)
+        _, cache = forward(w, batch, keep_cache=False)
+        assert cache is None
+        with pytest.raises(ValidationError):
+            backward(w, cache, batch.labels)
+
     def test_mismatched_cache_rejected(self):
         w = init_weights(SMALL, 5)
         batch = small_batch(3)
@@ -196,3 +218,55 @@ class TestEvaluate:
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             evaluate(init_weights(SMALL, 1), [])
+
+
+def cached_evaluate(w, batches):
+    """evaluate() spelled out over forward passes that keep their cache."""
+    correct = total = 0
+    loss_sum = 0.0
+    for b in batches:
+        logits, _ = forward(w, b)
+        loss, _ = softmax_cross_entropy(logits, b.labels)
+        loss_sum += loss * len(b)
+        correct += int((logits.argmax(axis=1) == b.labels).sum())
+        total += len(b)
+    return correct / total, loss_sum / total
+
+
+def cache_test_models():
+    """SMALL's full model and a prioritized half-width sub-model of DEEP."""
+    w = init_weights(DEEP, 8)
+    spec = uniform_spec(DEEP, 0.5)
+    return {"small": init_weights(SMALL, 2),
+            "deep-submodel": extract_submodel(prioritize_model(w)[0], spec)}
+
+
+class TestCacheFreeForward:
+    @pytest.mark.parametrize("name", ["small", "deep-submodel"])
+    def test_logits_bit_equal_to_cached_forward(self, name):
+        w = cache_test_models()[name]
+        batch = small_batch(6, n=7, seq=5, cfg=w.config)
+        cached, _ = forward(w, batch)
+        free, _ = forward(w, batch, keep_cache=False)
+        assert cached.tobytes() == free.tobytes()
+
+    @pytest.mark.parametrize("name", ["small", "deep-submodel"])
+    def test_evaluate_bit_equal_to_cached_evaluation(self, name):
+        w = cache_test_models()[name]
+        batches = [small_batch(s, n=n, seq=6, cfg=w.config) for s, n in ((1, 9), (2, 4))]
+        assert evaluate(w, batches) == cached_evaluate(w, batches)
+
+    def test_evaluate_peak_is_under_half_of_cached_forward(self):
+        w = init_weights(DEEP, 3)
+        batch = small_batch(5, n=64, seq=16, cfg=DEEP)
+        tracemalloc.start()
+        try:
+            evaluate(w, [batch])
+            _, eval_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            kept = forward(w, batch)
+            _, cached_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept[1] is not None
+        assert eval_peak < cached_peak / 2
