@@ -14,19 +14,19 @@ tensor names have the form ``__*__``).
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .nn import ModelConfig, ModelWeights, full_shapes, tensor_names
+from .nn import ModelConfig, ModelWeights, full_shapes
 from .scaling import plan_shape, slice_plan, spec_of
 
 MAGIC = b"RFFM"
 VERSION = 1
 
 _CONFIG_TENSOR = "__config__"
-_CONFIG_FIELDS = ("n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
-                  "vocab_size", "n_classes", "max_seq")
+_CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
@@ -113,14 +113,13 @@ def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
     # every head owns a tensor, so this bounds the enumeration of names
     if cfg.n_layers * cfg.n_heads > len(weights):
         raise FormatError(f"{_CONFIG_TENSOR} describes more tensors than the checkpoint holds")
-    names = tensor_names(cfg)
-    if set(names) != set(weights):
-        raise FormatError(f"checkpoint tensors do not match its config: missing "
-                          f"{sorted(set(names) - set(weights))[:3]}, "
-                          f"unexpected {sorted(set(weights) - set(names))[:3]}")
     full = full_shapes(cfg)
+    if set(full) != set(weights):
+        raise FormatError(f"checkpoint tensors do not match its config: missing "
+                          f"{sorted(set(full) - set(weights))[:3]}, "
+                          f"unexpected {sorted(set(weights) - set(full))[:3]}")
     shapes = {name: arr.shape for name, arr in weights.items()}
-    for name in names:
+    for name in full:
         if len(shapes[name]) != len(full[name]):
             raise FormatError(f"tensor {name!r} has rank {len(shapes[name])}, "
                               f"expected {len(full[name])}")

@@ -61,14 +61,7 @@ def _cmd_verify(args) -> int:
         x = rng.uniform(-1, 1, (seq, d))
         wq = rng.uniform(-1, 1, (d, dk))
         wk = rng.uniform(-1, 1, (d, dk))
-        perm = rng.permutation(dk)
-        if args.negative_control:
-            from .nn import attention_scores
-            base = attention_scores(wq, wk, x)
-            bad = attention_scores(wq[:, perm], wk, x)
-            diff = float(np.abs(base - bad).max())
-        else:
-            diff = verify_theorem1(wq, wk, x, perm)
+        diff = verify_theorem1(wq, wk, x, rng.permutation(dk))
         if diff > 1e-12:
             print(f"theorem check failed at seed {args.seed} trial {trial}: "
                   f"max rel diff {diff:.3e}")
@@ -149,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check attention-permutation invariance")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--negative-control", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_extract = sub.add_parser("extract", help="prioritize and slice a checkpointed model")

@@ -7,18 +7,18 @@ back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from .data import PartitionSpec, TaskSpec
 from .errors import ConfigError
 from .fed import FederationConfig
 from .nn import ModelConfig
 
-_MODEL_KEYS = {"n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
-               "vocab_size", "n_classes", "max_seq"}
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
 _FED_KEYS = {"n_clients", "participation_rate", "rounds", "ratio_set",
              "master_seed", "eval_every"}
-_TASK_KEYS = {"kind", "vocab_size", "seq_len", "n_classes", "n_samples", "seed"}
+_TASK_KEYS = {f.name for f in fields(TaskSpec)}
 _PARTITION_KEYS = {"dirichlet_alpha", "seed"}
 _SPP_KEYS = {"permute_qk", "permute_vo", "permute_ffn"}
 _CLIENT_KEYS = {"local_epochs", "lr", "batch_size", "budget_fractions",
@@ -38,8 +38,16 @@ class RunConfig:
     budget_fractions: list
     eval_fraction: float
 
+    def __post_init__(self):
+        if not self.budget_fractions or not all(
+                type(f) in (int, float) and 0 < f < math.inf for f in self.budget_fractions):
+            raise ConfigError("clients.budget_fractions must be a non-empty list of "
+                              f"positive numbers: {self.budget_fractions}")
 
-def _require_keys(section: dict, allowed: set, name: str, required: set | None = None):
+
+def _require_keys(section, allowed: set, name: str, required: set | None = None):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name!r} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
@@ -61,9 +69,9 @@ def parse_run_config(text: str, seed_override: int | None = None) -> RunConfig:
 
     model_doc = doc["model"]
     _require_keys(model_doc, _MODEL_KEYS, "model")
-    fed_doc = dict(doc["federation"])
-    _require_keys(fed_doc, _FED_KEYS, "federation",
+    _require_keys(doc["federation"], _FED_KEYS, "federation",
                   required=_FED_KEYS - {"eval_every"})
+    fed_doc = dict(doc["federation"])
     task_doc = doc["task"]
     _require_keys(task_doc, _TASK_KEYS, "task")
     part_doc = doc["partition"]
@@ -92,17 +100,16 @@ def parse_run_config(text: str, seed_override: int | None = None) -> RunConfig:
         partition = PartitionSpec(n_clients=federation.n_clients,
                                   dirichlet_alpha=part_doc["dirichlet_alpha"],
                                   seed=part_doc["seed"])
+        return RunConfig(
+            model=model,
+            federation=federation,
+            task=task,
+            partition=partition,
+            local_epochs=client_doc.get("local_epochs", 1),
+            lr=client_doc.get("lr", 0.1),
+            batch_size=client_doc.get("batch_size", 16),
+            budget_fractions=list(client_doc.get("budget_fractions", [1.0])),
+            eval_fraction=client_doc.get("eval_fraction", 0.2),
+        )
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        model=model,
-        federation=federation,
-        task=task,
-        partition=partition,
-        local_epochs=client_doc.get("local_epochs", 1),
-        lr=client_doc.get("lr", 0.1),
-        batch_size=client_doc.get("batch_size", 16),
-        budget_fractions=list(client_doc.get("budget_fractions", [1.0])),
-        eval_fraction=client_doc.get("eval_fraction", 0.2),
-    )

@@ -67,6 +67,8 @@ class FederationConfig:
             raise ConfigError("participation_rate must be in (0, 1]")
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
+        if not self.ratio_set or not all(0 < r <= 1 for r in self.ratio_set):
+            raise ConfigError(f"ratio_set must be non-empty, in (0, 1]: {list(self.ratio_set)}")
 
 
 @dataclass

@@ -11,12 +11,12 @@ the arrays, which is what makes extracted sub-models runnable as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NumericError, ShapeError, ValidationError
-from .tensor import RngStream, matmul, softmax_rows
+from .tensor import RngStream
 
 LN_EPS = 1e-5
 _INIT_STREAM_BASE = 100
@@ -35,10 +35,9 @@ class ModelConfig:
     max_seq: int
 
     def __post_init__(self):
-        for name in ("n_layers", "d_model", "n_heads", "d_k", "d_v", "d_ff",
-                     "vocab_size", "n_classes", "max_seq"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"ModelConfig.{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValidationError(f"ModelConfig.{f.name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -58,22 +57,8 @@ class Batch:
         return self.tokens.shape[0]
 
 
-def tensor_names(cfg: ModelConfig) -> list[str]:
-    """Canonical enumeration order of every trainable tensor."""
-    names = ["embed"]
-    for i in range(cfg.n_layers):
-        names += [f"layer{i}.ln1.scale", f"layer{i}.ln1.shift"]
-        for h in range(cfg.n_heads):
-            p = f"layer{i}.head{h}"
-            names += [f"{p}.wq", f"{p}.bq", f"{p}.wk", f"{p}.bk", f"{p}.wv", f"{p}.bv"]
-        names += [f"layer{i}.wo", f"layer{i}.bo",
-                  f"layer{i}.ln2.scale", f"layer{i}.ln2.shift",
-                  f"layer{i}.w1", f"layer{i}.b1", f"layer{i}.w2", f"layer{i}.b2"]
-    names += ["cls.w", "cls.b"]
-    return names
-
-
 def full_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every trainable tensor, in canonical enumeration order."""
     d, dk, dv, dff = cfg.d_model, cfg.d_k, cfg.d_v, cfg.d_ff
     shapes: dict[str, tuple[int, ...]] = {"embed": (cfg.vocab_size, d)}
     for i in range(cfg.n_layers):
@@ -126,39 +111,41 @@ class ModelWeights:
     def ffn_width(self, layer: int) -> int:
         return self.tensors[f"layer{layer}.w1"].shape[1]
 
-    def allclose(self, other: "ModelWeights", rtol=0.0, atol=0.0) -> bool:
-        if self.tensors.keys() != other.tensors.keys():
-            return False
-        return all(np.allclose(self.tensors[k], other.tensors[k], rtol=rtol, atol=atol)
-                   for k in self.tensors)
-
 
 def init_weights(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) matrices from per-tensor
     streams; biases zero, layer-norm scale one / shift zero."""
-    shapes = full_shapes(cfg)
     tensors: dict[str, np.ndarray] = {}
-    for idx, name in enumerate(tensor_names(cfg)):
-        shape = shapes[name]
+    for idx, (name, shape) in enumerate(full_shapes(cfg).items()):
         if name.endswith(".scale"):
             tensors[name] = np.ones(shape)
         elif name.endswith((".shift", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2", "cls.b")):
             tensors[name] = np.zeros(shape)
         else:
-            fan_in = shape[0] if len(shape) == 2 else shape[0]
-            bound = 1.0 / np.sqrt(fan_in)
+            bound = 1.0 / np.sqrt(shape[0])  # fan-in
             stream = RngStream(seed, _INIT_STREAM_BASE + idx)
             tensors[name] = stream.uniform(-bound, bound, shape)
     return ModelWeights(cfg, tensors)
 
 
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by its max for stability."""
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def _attention(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Row-stochastic scores softmax(q k^T / sqrt(d_k)) over the last two axes."""
+    return _softmax(q @ k.swapaxes(-1, -2) / np.sqrt(q.shape[-1]))
+
+
 def attention_scores(wq: np.ndarray, wk: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-stochastic score matrix softmax(x wq (x wk)^T / sqrt(d_k))."""
+    """One head's score matrix softmax(x wq (x wk)^T / sqrt(d_k)), as the
+    model computes it when the head's biases are zero."""
     if wq.shape != wk.shape:
         raise ShapeError(f"wq/wk shape mismatch: {wq.shape} vs {wk.shape}")
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    return softmax_rows(q @ k.T / np.sqrt(wq.shape[1]))
+    return _attention(x @ wq, x @ wk)
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
@@ -216,9 +203,7 @@ def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
         q = a1 @ w[f"{p}.wq"] + w[f"{p}.bq"]
         k = a1 @ w[f"{p}.wk"] + w[f"{p}.bk"]
         v = a1 @ w[f"{p}.wv"] + w[f"{p}.bv"]
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[-1])
-        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs = _attention(q, k)
         heads.append(probs @ v)
         if cache is not None:
             cache.q.append(q)
@@ -265,14 +250,11 @@ def forward(w: ModelWeights, batch: Batch,
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean loss over the batch plus d(loss)/d(logits)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = _softmax(logits)
     n = logits.shape[0]
     loss = -np.log(probs[np.arange(n), labels]).mean()
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return float(loss), dlogits / n
+    probs[np.arange(n), labels] -= 1.0  # now d(loss)/d(logits) times n
+    return float(loss), probs / n
 
 
 def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) -> dict:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,19 +50,19 @@ class SubmodelSpec:
     v_widths: tuple
 
     def validate(self, cfg: ModelConfig) -> None:
-        if len(self.ffn_widths) != cfg.n_layers or len(self.qk_widths) != cfg.n_layers \
-                or len(self.v_widths) != cfg.n_layers:
+        have, full = _values(self), _values(full_spec(cfg))
+        if any(len(widths) != cfg.n_layers for widths in have):
             raise ValidationError("spec layer count does not match config")
-        for i in range(cfg.n_layers):
-            if not 1 <= self.ffn_widths[i] <= cfg.d_ff:
-                raise ValidationError(f"ffn width {self.ffn_widths[i]} out of [1, {cfg.d_ff}]")
-            if len(self.qk_widths[i]) != cfg.n_heads or len(self.v_widths[i]) != cfg.n_heads:
-                raise ValidationError("spec head count does not match config")
-            for h in range(cfg.n_heads):
-                if not 1 <= self.qk_widths[i][h] <= cfg.d_k:
-                    raise ValidationError(f"qk width {self.qk_widths[i][h]} out of [1, {cfg.d_k}]")
-                if not 1 <= self.v_widths[i][h] <= cfg.d_v:
-                    raise ValidationError(f"v width {self.v_widths[i][h]} out of [1, {cfg.d_v}]")
+        for family, widths, maxima in zip(_FAMILIES, have, full):
+            if not _per_head(family):  # check the layers' widths as one row
+                widths, maxima = (widths,), (maxima,)
+            for row, row_maxima in zip(widths, maxima):
+                if len(row) != len(row_maxima):
+                    raise ValidationError("spec head count does not match config")
+                for width, maximum in zip(row, row_maxima):
+                    if not 1 <= width <= maximum:
+                        raise ValidationError(
+                            f"{family} width {width} out of [1, {maximum}]")
 
     def to_dict(self) -> dict:
         return {"ffn_widths": list(self.ffn_widths),
@@ -84,23 +85,35 @@ class SubmodelSpec:
         return spec
 
 
+_FIELDS = tuple(f.name for f in fields(SubmodelSpec))
+_FAMILIES = tuple(name.removesuffix("_widths") for name in _FIELDS)  # CUTS families
+_values = operator.attrgetter(*_FIELDS)  # a spec's width tuples in field order
+_MAX_ATTEMPTS = 100  # sampler draws before it falls back to the floor spec
+
+
+def _per_head(family: str) -> bool:
+    return "{h}" in _WIDTH_SOURCE[family][0]
+
+
+@functools.lru_cache(maxsize=16)
 def full_spec(cfg: ModelConfig) -> SubmodelSpec:
-    return uniform_spec(cfg, 1.0)
+    return spec_of(full_shapes(cfg), cfg.n_layers, cfg.n_heads)
 
 
 def uniform_spec(cfg: ModelConfig, ratio: float) -> SubmodelSpec:
-    w = _scaled_width
-    return SubmodelSpec(
-        ffn_widths=tuple(w(ratio, cfg.d_ff) for _ in range(cfg.n_layers)),
-        qk_widths=tuple(tuple(w(ratio, cfg.d_k) for _ in range(cfg.n_heads))
-                        for _ in range(cfg.n_layers)),
-        v_widths=tuple(tuple(w(ratio, cfg.d_v) for _ in range(cfg.n_heads))
-                       for _ in range(cfg.n_layers)),
-    )
+    return _map_widths(full_spec(cfg), lambda maximum: _scaled_width(ratio, maximum))
 
 
 def _scaled_width(ratio: float, maximum: int) -> int:
     return max(1, math.ceil(ratio * maximum))
+
+
+def _map_widths(spec: SubmodelSpec, fn) -> SubmodelSpec:
+    """The spec with fn(width) in place of every width, called family by
+    family in field order, then by layer and head."""
+    def apply(widths):
+        return tuple([apply(w) if isinstance(w, tuple) else fn(w) for w in widths])
+    return SubmodelSpec(*apply(_values(spec)))
 
 
 @dataclass
@@ -114,15 +127,11 @@ class PrioritizationRecord:
     permuted_ffn: bool = False
 
 
-def salience_l1(w: np.ndarray, channel_axis: str = "cols") -> np.ndarray:
-    """L1 salience per channel: the sum of absolute weights in the channel."""
+def salience_l1(w: np.ndarray) -> np.ndarray:
+    """L1 salience per channel (column): the sum of absolute weights in it."""
     if w.size == 0:
         raise ShapeError("cannot score an empty tensor")
-    if channel_axis == "cols":
-        return np.abs(w).sum(axis=0)
-    if channel_axis == "rows":
-        return np.abs(w).sum(axis=1)
-    raise ValidationError(f"channel_axis must be 'rows' or 'cols', got {channel_axis!r}")
+    return np.abs(w).sum(axis=0)
 
 
 def rank_channels(s: np.ndarray) -> np.ndarray:
@@ -137,7 +146,7 @@ def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
     """Per-channel mean of the query and key column saliences."""
     if wq_head.shape[1] != wk_head.shape[1]:
         raise ShapeError(f"query/key channel mismatch: {wq_head.shape} vs {wk_head.shape}")
-    return (salience_l1(wq_head, "cols") + salience_l1(wk_head, "cols")) / 2.0
+    return (salience_l1(wq_head) + salience_l1(wk_head)) / 2.0
 
 
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
@@ -163,9 +172,9 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
             if permute_qk:
                 perms["qk"][h] = rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"]))
             if permute_vo:
-                perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"], "cols"))
+                perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"]))
         if permute_ffn:
-            perms["ffn"] = [rank_channels(salience_l1(w[f"layer{i}.w1"], "cols"))]
+            perms["ffn"] = [rank_channels(salience_l1(w[f"layer{i}.w1"]))]
         for name, family, axis, h in _cut_tensors(i, cfg.n_heads):
             perm = perms[family][h] if h is not None else _stack(perms[family], have[family][i])
             out.tensors[name] = np.take(w[name], perm, axis=axis)
@@ -186,13 +195,15 @@ def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
 
 
 def _by_family(spec: SubmodelSpec) -> dict:
-    """The spec's widths by CUTS family, layer and head (the FFN is one head)."""
-    return {"qk": spec.qk_widths, "v": spec.v_widths,
-            "ffn": tuple((w,) for w in spec.ffn_widths)}
+    """The spec's widths by CUTS family, layer and head (a per-layer family
+    has one head)."""
+    return {family: widths if _per_head(family) else tuple([(w,) for w in widths])
+            for family, widths in zip(_FAMILIES, _values(spec))}
 
 
 def _width_sums(spec: SubmodelSpec) -> dict:
-    return {family: sum(map(sum, rows)) for family, rows in _by_family(spec).items()}
+    return {family: sum(map(sum, widths)) if _per_head(family) else sum(widths)
+            for family, widths in zip(_FAMILIES, _values(spec))}
 
 
 @functools.lru_cache(maxsize=16)
@@ -221,10 +232,10 @@ def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
 
 
 def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
-                         rng: RngStream, max_attempts: int = 100) -> SubmodelSpec:
+                         rng: RngStream) -> SubmodelSpec:
     """Draw each prunable width independently from the ratio set, rejecting
     draws over budget; falls back to the all-minimum spec after
-    ``max_attempts`` rejections."""
+    ``_MAX_ATTEMPTS`` rejections."""
     ratios = sorted(ratio_set)
     if not ratios or ratios[0] <= 0 or ratios[-1] > 1:
         raise ConfigError(f"ratio set must lie in (0, 1]: {ratio_set}")
@@ -233,17 +244,11 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
         raise ConfigError(
             f"budget {budget.max_params} below the minimum spec "
             f"({param_count(floor, cfg)} params)")
-    for _ in range(max_attempts):
-        spec = SubmodelSpec(
-            ffn_widths=tuple(_scaled_width(ratios[rng.integers(0, len(ratios))], cfg.d_ff)
-                             for _ in range(cfg.n_layers)),
-            qk_widths=tuple(tuple(_scaled_width(ratios[rng.integers(0, len(ratios))], cfg.d_k)
-                                  for _ in range(cfg.n_heads))
-                            for _ in range(cfg.n_layers)),
-            v_widths=tuple(tuple(_scaled_width(ratios[rng.integers(0, len(ratios))], cfg.d_v)
-                                 for _ in range(cfg.n_heads))
-                           for _ in range(cfg.n_layers)),
-        )
+    full, n = full_spec(cfg), len(ratios)
+    # each maximum's width per ratio, worked out once instead of once per draw
+    scaled = functools.cache(lambda maximum: [_scaled_width(r, maximum) for r in ratios])
+    for _ in range(_MAX_ATTEMPTS):
+        spec = _map_widths(full, lambda maximum: scaled(maximum)[rng.integers(0, n)])
         if param_count(spec, cfg) <= budget.max_params:
             return spec
     return floor
@@ -251,12 +256,14 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
 
 def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:
     """The spec whose widths a model with these tensor shapes has."""
-    def read(family, n):
+    def read(family):
         tmpl, axis = _WIDTH_SOURCE[family]
-        return tuple(tuple(shapes[f"layer{i}.{tmpl.format(h=h)}"][axis] for h in range(n))
-                     for i in range(n_layers))
-    return SubmodelSpec(ffn_widths=tuple(f for (f,) in read("ffn", 1)),
-                        qk_widths=read("qk", n_heads), v_widths=read("v", n_heads))
+        def width(i, h=None):
+            return shapes[f"layer{i}.{tmpl.format(h=h)}"][axis]
+        if _per_head(family):
+            return tuple(tuple(width(i, h) for h in range(n_heads)) for i in range(n_layers))
+        return tuple(width(i) for i in range(n_layers))
+    return SubmodelSpec(*map(read, _FAMILIES))
 
 
 def _cut_tensors(layer: int, n_heads: int):

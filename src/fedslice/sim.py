@@ -9,7 +9,7 @@ from .config import RunConfig
 from .errors import ConfigError
 from .fed import ClientProfile, measure_traffic, run_federation
 from .nn import Batch
-from .scaling import ResourceBudget, full_spec, min_spec, param_count
+from .scaling import ResourceBudget, full_spec, param_count
 
 
 def build_profiles(cfg: RunConfig):
@@ -25,16 +25,14 @@ def build_profiles(cfg: RunConfig):
 
     shards = data_mod.dirichlet_partition(train_labels, cfg.partition)
     full_params = param_count(full_spec(cfg.model), cfg.model)
-    floor = param_count(min_spec(cfg.model, cfg.federation.ratio_set), cfg.model)
 
     profiles = []
-    fractions = cfg.budget_fractions or [1.0]
+    fractions = cfg.budget_fractions
     for cid, shard_idx in enumerate(shards):
         frac = fractions[cid % len(fractions)]
-        budget = max(floor, int(frac * full_params))
         profiles.append(ClientProfile(
             client_id=cid,
-            budget=ResourceBudget(max_params=budget),
+            budget=ResourceBudget(max_params=int(frac * full_params)),
             shard=data_mod.batches_from_indices(train_tokens, train_labels,
                                                 shard_idx, cfg.batch_size),
             local_epochs=cfg.local_epochs,

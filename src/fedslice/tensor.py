@@ -1,40 +1,16 @@
-"""Dense 2-D float64 linear algebra and seeded, splittable random streams.
+"""Seeded, splittable random streams and the permutation check.
 
-All weights and activations in this package are plain numpy float64 arrays
-(row-major). The helpers here add the shape/validity checking the rest of
-the code relies on; operations return new arrays and never mutate inputs.
+Every randomized stage of a run draws from its own named Philox stream, so
+results depend only on the seed, never on the order of the work.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 
 _MASK64 = (1 << 64) - 1
-
-
-def _check2d(a: np.ndarray, name: str = "input") -> None:
-    if not isinstance(a, np.ndarray) or a.ndim != 2:
-        raise ShapeError(f"{name} must be a 2-D array")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check2d(a, "a")
-    _check2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    _check2d(a)
-    if a.size == 0:
-        raise ShapeError(f"softmax_rows on empty array of shape {a.shape}")
-    shifted = a - a.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def check_permutation(p, n: int) -> np.ndarray:

@@ -28,6 +28,30 @@ def run_config_doc(**overrides):
     return doc
 
 
+# (section, key or None for the whole section, value, expected message)
+MALFORMED = [
+    ("model", None, 5, "'model' must be a JSON object"),
+    ("federation", None, "x", "'federation' must be a JSON object"),
+    ("spp", None, [], "'spp' must be a JSON object"),
+    ("clients", None, 3, "'clients' must be a JSON object"),
+    ("federation", "ratio_set", [], "ratio_set"),
+    ("federation", "ratio_set", [0.0, 1.0], "ratio_set"),
+    ("federation", "ratio_set", [0.5, 1.5], "ratio_set"),
+    ("clients", "budget_fractions", [], "budget_fractions"),
+    ("clients", "budget_fractions", [0.5, "x"], "budget_fractions"),
+    ("clients", "budget_fractions", 0.5, "not iterable"),
+]
+
+
+def malformed_doc(section, key, value):
+    doc = run_config_doc()
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    return doc
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -102,6 +126,9 @@ class TestRunConfig:
             doc[section][key] = value
             with pytest.raises(ConfigError, match=key):
                 parse_run_config(json.dumps(doc))
+        for section, key, value, message in MALFORMED:
+            with pytest.raises(ConfigError, match=message):
+                parse_run_config(json.dumps(malformed_doc(section, key, value)))
 
     def test_unknown_top_level_key_rejected(self):
         doc = run_config_doc()
@@ -153,6 +180,16 @@ class TestCmdRun:
         path.write_text("{ not json }")
         assert cli.main(["run", str(path)]) == 1
         assert "line" in capsys.readouterr().err
+        for section, key, value, message in MALFORMED:
+            path = write_config(tmp_path, malformed_doc(section, key, value))
+            assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+            assert message in capsys.readouterr().err
+
+    def test_budget_below_floor_exits_1(self, tmp_path, capsys):
+        # the smallest spec of ratio 0.5 is 65% of this model
+        path = write_config(tmp_path, malformed_doc("clients", "budget_fractions", [0.3]))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        assert "below minimum spec size" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 3
@@ -167,8 +204,10 @@ class TestCmdVerify:
     def test_default_tolerances_pass(self):
         assert cli.main(["verify", "--trials", "20"]) == 0
 
-    def test_negative_control_fails(self):
-        assert cli.main(["verify", "--trials", "5", "--negative-control"]) == 2
+    def test_negative_control_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_theorem1", lambda *args: 1.0)
+        assert cli.main(["verify", "--trials", "5"]) == 2
+        assert "theorem check failed at seed 0 trial 0" in capsys.readouterr().out
 
 
 class TestCmdExtractInspect:

@@ -61,6 +61,16 @@ class TestAttentionScores:
         assert np.all(scores >= 0)
         assert np.all(np.abs(scores.sum(axis=1) - 1.0) <= 1e-12)
 
+    def test_bit_equal_to_the_models_attention(self):
+        w = init_weights(SMALL, 3)  # biases are zero, as attention_scores assumes
+        batch = small_batch(seed=4)
+        _, cache = forward(w, batch)
+        lc = cache.layers[0]
+        for h in range(SMALL.n_heads):
+            wq, wk = w[f"layer0.head{h}.wq"], w[f"layer0.head{h}.wk"]
+            for b in range(len(batch)):
+                assert np.array_equal(attention_scores(wq, wk, lc.a1[b]), lc.probs[h][b])
+
 
 class TestForward:
     def test_zero_weights_uniform_probs_and_loss(self):

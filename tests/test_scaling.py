@@ -25,18 +25,14 @@ def rand_batch(cfg, seed, n=6, seq=7):
 
 class TestSalience:
     def test_column_salience(self):
-        s = salience_l1(np.array([[1.0, -2.0], [3.0, 0.0]]), "cols")
+        s = salience_l1(np.array([[1.0, -2.0], [3.0, 0.0]]))
         assert np.array_equal(s, [4.0, 2.0])
 
     def test_zero_matrix(self):
-        assert np.array_equal(salience_l1(np.zeros((3, 2)), "cols"), [0.0, 0.0])
+        assert np.array_equal(salience_l1(np.zeros((3, 2))), [0.0, 0.0])
 
     def test_single_entry(self):
-        assert np.array_equal(salience_l1(np.array([[-0.5]]), "cols"), [0.5])
-
-    def test_row_axis(self):
-        s = salience_l1(np.array([[1.0, -2.0], [3.0, 0.0]]), "rows")
-        assert np.array_equal(s, [3.0, 3.0])
+        assert np.array_equal(salience_l1(np.array([[-0.5]])), [0.5])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
@@ -63,13 +59,13 @@ class TestJointQkSalience:
     def test_equal_matrices_reduce_to_single_salience(self):
         rng = RngStream(1, 0)
         wq = rng.uniform(-1, 1, (5, 3))
-        assert np.allclose(joint_qk_salience(wq, wq), salience_l1(wq, "cols"), atol=1e-15)
+        assert np.allclose(joint_qk_salience(wq, wq), salience_l1(wq), atol=1e-15)
 
     def test_zero_key_halves(self):
         rng = RngStream(2, 0)
         wq = rng.uniform(-1, 1, (5, 3))
         assert np.allclose(joint_qk_salience(wq, np.zeros_like(wq)),
-                           salience_l1(wq, "cols") / 2, atol=1e-15)
+                           salience_l1(wq) / 2, atol=1e-15)
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(ShapeError):
@@ -102,7 +98,7 @@ class TestPrioritizeModel:
         for h in range(CFG.n_heads):
             s = joint_qk_salience(wp[f"layer0.head{h}.wq"], wp[f"layer0.head{h}.wk"])
             assert np.all(np.diff(s) <= 0)
-        f = salience_l1(wp["layer0.w1"], "cols")
+        f = salience_l1(wp["layer0.w1"])
         assert np.all(np.diff(f) <= 0)
 
     def test_idempotent(self):
@@ -187,6 +183,21 @@ class TestSampleSubmodelSpec:
                                         RngStream(42, 5000 + trial))
             assert param_count(spec, CFG) <= budget.max_params
 
+    def test_draws_pinned(self):
+        # widths are drawn ffn by layer, then qk and v by layer and head
+        cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_k=4, d_v=8, d_ff=16,
+                          vocab_size=5, n_classes=2, max_seq=4)
+        ratios = [0.25, 0.5, 0.75, 1.0]
+        full = param_count(full_spec(cfg), cfg)
+        expected = {
+            (1, full): SubmodelSpec((4, 16), ((3, 1), (3, 1)), ((6, 4), (2, 2))),
+            (2, full): SubmodelSpec((12, 8), ((4, 3), (4, 2)), ((8, 4), (8, 8))),
+            (3, full // 2): SubmodelSpec((4, 4), ((1, 1), (2, 4)), ((2, 8), (2, 6))),
+        }
+        for (seed, budget), spec in expected.items():
+            assert sample_submodel_spec(cfg, ResourceBudget(budget), ratios,
+                                        RngStream(seed, 7)) == spec
+
     def test_infeasible_budget_rejected(self):
         with pytest.raises(ConfigError):
             sample_submodel_spec(CFG, ResourceBudget(1), [0.5, 1.0], RngStream(1, 3))
@@ -211,7 +222,7 @@ class TestExtractSubmodel:
         wp, _ = prioritize_model(w, permute_qk=False, permute_vo=False)
         spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((4, 4),), v_widths=((4, 4),))
         sub = extract_submodel(wp, spec)
-        assert sorted(salience_l1(sub["layer0.w1"], "cols")[:2].tolist(),
+        assert sorted(salience_l1(sub["layer0.w1"])[:2].tolist(),
                       reverse=True) == [5.0, 3.0]
 
     def test_retained_qk_mass_is_subset_maximal(self):
