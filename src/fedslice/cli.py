@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,7 +40,7 @@ def _cmd_run(args) -> int:
 
     with open(os.path.join(args.out, "metrics.jsonl"), "w") as f:
         for record in log:
-            f.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            f.write(json.dumps(asdict(record), sort_keys=True) + "\n")
     with open(os.path.join(args.out, "summary.json"), "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
         f.write("\n")
@@ -77,7 +78,7 @@ def _cmd_verify(args) -> int:
         batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 6))),
                       labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
         base, _ = forward(w, batch)
-        wp, _ = prioritize_model(w)
+        wp = prioritize_model(w)
         after, _ = forward(wp, batch)
         rel = np.abs(base - after) / np.maximum(1.0, np.maximum(np.abs(base), np.abs(after)))
         diff = float(rel.max())
@@ -109,7 +110,7 @@ def _parse_spec_json(path: str, cfg: ModelConfig) -> SubmodelSpec:
 def _cmd_extract(args) -> int:
     model = tensors_to_model(read_checkpoint(args.checkpoint_in))
     spec = _parse_spec_json(args.spec, model.config)
-    prioritized, _ = prioritize_model(model)
+    prioritized = prioritize_model(model)
     sub = extract_submodel(prioritized, spec)
     print(f"params before: {model.param_total()}")
     print(f"params after:  {sub.param_total()}")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .data import PartitionSpec, TaskSpec
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fed import FederationConfig
 from .nn import ModelConfig
 
@@ -39,10 +39,22 @@ class RunConfig:
     eval_fraction: float
 
     def __post_init__(self):
+        for name in ("local_epochs", "batch_size"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"clients.{name} must be an integer: {getattr(self, name)!r}")
+        if not _is_number(self.lr) or not 0 <= self.lr < math.inf:
+            raise ConfigError(f"clients.lr must be a finite number >= 0: {self.lr!r}")
+        if not _is_number(self.eval_fraction) or not 0 <= self.eval_fraction < 1:
+            raise ConfigError(f"clients.eval_fraction must be a number in [0, 1): "
+                              f"{self.eval_fraction!r}")
         if not self.budget_fractions or not all(
-                type(f) in (int, float) and 0 < f < math.inf for f in self.budget_fractions):
+                _is_number(f) and 0 < f < math.inf for f in self.budget_fractions):
             raise ConfigError("clients.budget_fractions must be a non-empty list of "
                               f"positive numbers: {self.budget_fractions}")
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float)
 
 
 def _require_keys(section, allowed: set, name: str, required: set | None = None):
@@ -111,5 +123,5 @@ def parse_run_config(text: str, seed_override: int | None = None) -> RunConfig:
             budget_fractions=list(client_doc.get("budget_fractions", [1.0])),
             eval_fraction=client_doc.get("eval_fraction", 0.2),
         )
-    except TypeError as exc:
+    except (TypeError, ValidationError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -72,13 +72,6 @@ class FederationConfig:
 
 
 @dataclass
-class FederationState:
-    global_weights: ModelWeights
-    round_index: int = 0
-    profiles: list = field(default_factory=list)
-
-
-@dataclass
 class RoundRecord:
     round: int
     participants: list
@@ -89,19 +82,6 @@ class RoundRecord:
     accuracy: float | None = None
     loss: float | None = None
     wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "participants": list(self.participants),
-            "client_specs": self.client_specs,
-            "bytes_down": self.bytes_down,
-            "bytes_up": self.bytes_up,
-            "dropped": list(self.dropped),
-            "accuracy": self.accuracy,
-            "loss": self.loss,
-            "wall_time": self.wall_time,
-        }
 
 
 def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int]:
@@ -156,29 +136,26 @@ def aggregate(global_w: ModelWeights,
     return ModelWeights(cfg, merged)
 
 
-def run_round(state: FederationState, cfg: FederationConfig,
-              eval_batches=None) -> tuple[FederationState, RoundRecord]:
-    """One communication round: prioritize, sample specs, extract, local
-    train, aggregate."""
+def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
+              cfg: FederationConfig, eval_batches=None) -> tuple[ModelWeights, RoundRecord]:
+    """Round t: prioritize, sample specs, extract, local train, aggregate."""
     t0 = time.monotonic()
-    t = state.round_index
     seed = cfg.master_seed
 
-    prioritized, _ = prioritize_model(
-        state.global_weights, permute_qk=cfg.permute_qk,
-        permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
+    prioritized = prioritize_model(global_w, permute_qk=cfg.permute_qk,
+                                   permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
 
     select_rng = RngStream(seed, STREAM_SELECT + t)
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
-    model_cfg = state.global_weights.config
+    model_cfg = global_w.config
     client_specs = []
     updates = []
     dropped = []
     bytes_down = 0
     bytes_up = 0
     for cid in participants:
-        profile = state.profiles[cid]
+        profile = profiles[cid]
         spec_rng = RngStream(seed, STREAM_SPEC + (t << 20) + cid)
         spec = sample_submodel_spec(model_cfg, profile.budget, cfg.ratio_set, spec_rng)
         n_params = param_count(spec, model_cfg)
@@ -196,7 +173,7 @@ def run_round(state: FederationState, cfg: FederationConfig,
         updates.append((spec, trained))
         bytes_up += n_params * BYTES_PER_PARAM
 
-    new_global = aggregate(prioritized, updates) if updates else state.global_weights
+    new_global = aggregate(prioritized, updates) if updates else global_w
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)
@@ -204,8 +181,7 @@ def run_round(state: FederationState, cfg: FederationConfig,
         record.accuracy, record.loss = evaluate(new_global, eval_batches)
     record.wall_time = time.monotonic() - t0
 
-    return FederationState(global_weights=new_global, round_index=t + 1,
-                           profiles=state.profiles), record
+    return new_global, record
 
 
 def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
@@ -220,24 +196,10 @@ def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
             raise ConfigError(
                 f"client {p.client_id}: budget {p.budget.max_params} below "
                 f"minimum spec size {floor}")
-    state = FederationState(
-        global_weights=init_weights(model_cfg, cfg.master_seed),
-        profiles=profiles)
+    w = init_weights(model_cfg, cfg.master_seed)
     log: list[RoundRecord] = []
-    for _ in range(cfg.rounds):
-        state, record = run_round(state, cfg, eval_batches=eval_batches)
+    for t in range(cfg.rounds):
+        w, record = run_round(w, t, profiles, cfg, eval_batches=eval_batches)
         log.append(record)
-    return state.global_weights, log
+    return w, log
 
-
-def measure_traffic(log: list[RoundRecord]) -> dict:
-    """Aggregate the per-round byte fields of a federation log."""
-    if not log:
-        raise ValidationError("empty federation log")
-    total = sum(r.bytes_down + r.bytes_up for r in log)
-    slots = sum(len(r.participants) for r in log)
-    return {
-        "total_bytes": total,
-        "per_client_mean_bytes_per_round": total / slots if slots else 0.0,
-        "rounds": len(log),
-    }

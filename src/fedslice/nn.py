@@ -36,8 +36,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 1:
-                raise ValidationError(f"ModelConfig.{f.name} must be >= 1")
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:
+                raise ValidationError(f"ModelConfig.{f.name} must be an integer >= 1: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,17 +116,6 @@ def _map_widths(spec: SubmodelSpec, fn) -> SubmodelSpec:
     return SubmodelSpec(*apply(_values(spec)))
 
 
-@dataclass
-class PrioritizationRecord:
-    """Audit trail: the permutation applied to each channel family."""
-    qk_perms: list = field(default_factory=list)   # [layer][head] -> ndarray
-    vo_perms: list = field(default_factory=list)   # [layer][head] -> ndarray
-    ffn_perms: list = field(default_factory=list)  # [layer] -> ndarray
-    permuted_qk: bool = False
-    permuted_vo: bool = False
-    permuted_ffn: bool = False
-
-
 def salience_l1(w: np.ndarray) -> np.ndarray:
     """L1 salience per channel (column): the sum of absolute weights in it."""
     if w.size == 0:
@@ -150,7 +139,7 @@ def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
 
 
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
-                     permute_ffn: bool = True) -> tuple[ModelWeights, PrioritizationRecord]:
+                     permute_ffn: bool = True) -> ModelWeights:
     """Reorder channels by salience, function-preservingly.
 
     Per head the SAME joint-salience permutation goes to W^q and W^k columns
@@ -163,8 +152,6 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
     out = w.copy()
     have = _by_family(spec_of({name: arr.shape for name, arr in w.tensors.items()},
                               cfg.n_layers, cfg.n_heads))
-    rec = PrioritizationRecord(permuted_qk=permute_qk, permuted_vo=permute_vo,
-                               permuted_ffn=permute_ffn)
     for i in range(cfg.n_layers):
         perms = {family: [np.arange(k) for k in widths[i]] for family, widths in have.items()}
         for h in range(cfg.n_heads):
@@ -178,10 +165,7 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
         for name, family, axis, h in _cut_tensors(i, cfg.n_heads):
             perm = perms[family][h] if h is not None else _stack(perms[family], have[family][i])
             out.tensors[name] = np.take(w[name], perm, axis=axis)
-        rec.qk_perms.append(perms["qk"])
-        rec.vo_perms.append(perms["v"])
-        rec.ffn_perms.append(perms["ffn"][0])
-    return out, rec
+    return out
 
 
 def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
@@ -329,7 +313,7 @@ def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> ModelWe
 
 
 __all__ = [
-    "ResourceBudget", "SubmodelSpec", "PrioritizationRecord",
+    "ResourceBudget", "SubmodelSpec",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
     "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "plan_shape", "spec_of",

@@ -7,7 +7,7 @@ import numpy as np
 from . import data as data_mod
 from .config import RunConfig
 from .errors import ConfigError
-from .fed import ClientProfile, measure_traffic, run_federation
+from .fed import ClientProfile, run_federation
 from .nn import Batch
 from .scaling import ResourceBudget, full_spec, param_count
 
@@ -19,9 +19,9 @@ def build_profiles(cfg: RunConfig):
     n_eval = int(round(cfg.eval_fraction * cfg.task.n_samples))
     if n_eval >= cfg.task.n_samples:
         raise ConfigError("eval_fraction leaves no training data")
-    train_tokens, train_labels = tokens[:-n_eval] if n_eval else tokens, \
-        labels[:-n_eval] if n_eval else labels
-    eval_batches = [Batch(tokens=tokens[-n_eval:], labels=labels[-n_eval:])] if n_eval else None
+    n_train = cfg.task.n_samples - n_eval
+    train_tokens, train_labels = tokens[:n_train], labels[:n_train]
+    eval_batches = [Batch(tokens=tokens[n_train:], labels=labels[n_train:])] if n_eval else None
 
     shards = data_mod.dirichlet_partition(train_labels, cfg.partition)
     full_params = param_count(full_spec(cfg.model), cfg.model)
@@ -56,6 +56,6 @@ def run_simulation(cfg: RunConfig):
         "mean_client_params": float(np.mean(client_params)) if client_params else None,
         "final_accuracy": evaluated[-1].accuracy if evaluated else None,
         "final_loss": evaluated[-1].loss if evaluated else None,
-        "total_bytes": measure_traffic(log)["total_bytes"] if log else 0,
+        "total_bytes": sum(r.bytes_down + r.bytes_up for r in log),
     }
     return final_weights, log, summary

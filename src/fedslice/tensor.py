@@ -20,7 +20,7 @@ def check_permutation(p, n: int) -> np.ndarray:
     return p
 
 
-class RngStream:
+class RngStream(np.random.Generator):
     """Counter-based (Philox) random stream keyed by (seed, stream_id).
 
     Equal (seed, stream_id) pairs reproduce the same draw sequence on any
@@ -30,26 +30,5 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        self.gen = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-        )
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        return self.gen.uniform(low, high, size)
-
-    def integers(self, low: int, high: int, size=None):
-        return self.gen.integers(low, high, size=size)
-
-    def random(self, size=None):
-        return self.gen.random(size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self.gen.permutation(n)
-
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self.gen.choice(n, size=size, replace=replace)
-
-    def dirichlet(self, alpha: np.ndarray) -> np.ndarray:
-        return self.gen.dirichlet(alpha)
+        key = np.array([int(seed) & _MASK64, int(stream_id) & _MASK64], dtype=np.uint64)
+        super().__init__(np.random.Philox(key=key))

@@ -56,7 +56,7 @@ def test_2_function_preservation_full_model():
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_k=4, d_v=4, d_ff=32,
                       vocab_size=16, n_classes=4, max_seq=12)
     w = init_weights(cfg, 21)
-    wp, _ = prioritize_model(w)  # all flags on by default
+    wp = prioritize_model(w)  # all flags on by default
     worst = 0.0
     for seed in range(16):
         rng = RngStream(seed, 444)
@@ -243,7 +243,7 @@ def test_6_slice_optimality_exhaustive():
     for dk in (4, 6, 8):
         cfg = ModelConfig(1, 8, 1, dk, 4, 8, 11, 3, 10)
         w = init_weights(cfg, 60 + dk)
-        wp, _ = prioritize_model(w)
+        wp = prioritize_model(w)
         wq0, wk0 = w["layer0.head0.wq"], w["layer0.head0.wk"]
         for k in range(1, dk + 1):
             spec = SubmodelSpec(ffn_widths=(8,), qk_widths=((k,),), v_widths=((4,),))
@@ -334,7 +334,7 @@ def test_8_salience_beats_random_permutation_slicing():
         toks = np.asarray(rng.integers(0, 6, (32, 7)))
         probe = Batch(tokens=toks, labels=label_tokens(toks, task))
         full_logits, _ = forward(w, probe)
-        spp_sub = extract_submodel(prioritize_model(w)[0], spec)
+        spp_sub = extract_submodel(prioritize_model(w), spec)
         mse_spp = float(((forward(spp_sub, probe)[0] - full_logits) ** 2).mean())
         rnd_sub = extract_submodel(_random_paired_permute(w, rng), spec)
         mse_rnd = float(((forward(rnd_sub, probe)[0] - full_logits) ** 2).mean())

@@ -40,6 +40,20 @@ MALFORMED = [
     ("clients", "budget_fractions", [], "budget_fractions"),
     ("clients", "budget_fractions", [0.5, "x"], "budget_fractions"),
     ("clients", "budget_fractions", 0.5, "not iterable"),
+    ("clients", "lr", "x", "clients.lr"),
+    ("clients", "lr", float("nan"), "clients.lr"),
+    ("clients", "lr", -0.1, "clients.lr"),
+    ("clients", "local_epochs", "x", "clients.local_epochs"),
+    ("clients", "local_epochs", 1.5, "clients.local_epochs"),
+    ("clients", "local_epochs", True, "clients.local_epochs"),
+    ("clients", "batch_size", 2.5, "clients.batch_size"),
+    ("clients", "batch_size", True, "clients.batch_size"),
+    ("clients", "eval_fraction", "x", "clients.eval_fraction"),
+    ("clients", "eval_fraction", float("nan"), "clients.eval_fraction"),
+    ("clients", "eval_fraction", -0.1, "clients.eval_fraction"),
+    ("clients", "eval_fraction", 1.0, "clients.eval_fraction"),
+    ("model", "d_model", 2.5, "ModelConfig.d_model"),
+    ("model", "n_heads", True, "ModelConfig.n_heads"),
 ]
 
 
@@ -152,7 +166,8 @@ class TestCmdRun:
         cfg_path = write_config(tmp_path, doc)
         out = tmp_path / "out"
         assert cli.main(["run", cfg_path, "--out", str(out)]) == 0
-        assert json.loads((out / "summary.json").read_text())["rounds"] == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rounds"] == 0 and summary["total_bytes"] == 0
         assert (out / "metrics.jsonl").read_text() == ""
 
     def test_run_writes_outputs(self, tmp_path):
@@ -237,7 +252,7 @@ class TestCmdExtractInspect:
         assert cli.main(["extract", str(ckpt_in), str(spec_path), str(ckpt_out)]) == 0
         sub = tensors_to_model(read_checkpoint(ckpt_out))
         from fedslice.scaling import prioritize_model
-        wp, _ = prioritize_model(w)
+        wp = prioritize_model(w)
         assert all(np.array_equal(wp.tensors[k], sub.tensors[k]) for k in wp.tensors)
 
     def test_incompatible_spec_exits_1(self, tmp_path, capsys):

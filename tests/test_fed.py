@@ -1,14 +1,14 @@
 import sys
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from fedslice import fed
 from fedslice.errors import AggregationError, ConfigError, ValidationError
-from fedslice.fed import (ClientProfile, FederationConfig, FederationState,
-                          aggregate, local_train, measure_traffic, run_federation,
-                          run_round, select_participants)
+from fedslice.fed import (ClientProfile, FederationConfig, aggregate, local_train,
+                          run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
                          init_weights, sgd_step)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
@@ -245,6 +245,19 @@ class TestRounds:
         assert rec.bytes_down == sum(p * 8 for p in per_client)
         assert rec.bytes_up == rec.bytes_down  # no client diverged
 
+    def test_single_round_totals(self):
+        cfg = fed_cfg(rounds=1, n_clients=1, participation_rate=1.0)
+        _, log = run_federation(cfg, TINY, make_profiles(TINY, 1))
+        p = log[0].client_specs[0]["param_count"]
+        assert log[0].bytes_down + log[0].bytes_up == 16 * p
+
+    def test_halved_widths_cost_less_than_full(self):
+        full_run = run_federation(fed_cfg(rounds=2), TINY, make_profiles(TINY, 4))[1]
+        half_run = run_federation(fed_cfg(rounds=2, ratio_set=(0.5,)), TINY,
+                                  make_profiles(TINY, 4))[1]
+        for half, full in zip(half_run, full_run):
+            assert half.bytes_down < full.bytes_down and half.bytes_up < full.bytes_up
+
     def test_budget_compliance_in_records(self):
         full = param_count(full_spec(TINY), TINY)
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(int(0.8 * full)))
@@ -260,7 +273,7 @@ class TestRounds:
         b, log_b = run_federation(cfg, TINY, make_profiles(TINY, 4))
         assert all(np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
         for ra, rb in zip(log_a, log_b):
-            da, db = ra.to_dict(), rb.to_dict()
+            da, db = asdict(ra), asdict(rb)
             da.pop("wall_time"), db.pop("wall_time")
             assert da == db
 
@@ -276,7 +289,7 @@ class TestRounds:
         # With prioritization on, a round where every client is dropped must
         # still return the previous global weights, not their prioritized copy.
         w0 = init_weights(TINY, fed_cfg().master_seed)
-        assert any(not np.array_equal(w0.tensors[k], prioritize_model(w0)[0].tensors[k])
+        assert any(not np.array_equal(w0.tensors[k], prioritize_model(w0).tensors[k])
                    for k in w0.tensors)
         for permute in (False, True):
             profiles = make_profiles(TINY, 2, lr=1e300, local_epochs=2)
@@ -305,9 +318,7 @@ class TestRounds:
         monkeypatch.setattr(fed, "extract_submodel", extract)
         monkeypatch.setattr(fed, "local_train", train)
         cfg = fed_cfg(ratio_set=(0.5, 0.75, 1.0), rounds=1)
-        state = FederationState(global_weights=init_weights(TINY, cfg.master_seed),
-                                profiles=make_profiles(TINY, 4))
-        _, rec = run_round(state, cfg)
+        _, rec = run_round(init_weights(TINY, cfg.master_seed), 0, make_profiles(TINY, 4), cfg)
         assert len(rec.participants) == 4
         expected = []
         for cid, cs in zip(rec.participants, rec.client_specs):
@@ -319,30 +330,16 @@ class TestRounds:
         with pytest.raises(ConfigError):
             run_federation(fed_cfg(), TINY, profiles)
 
-    def test_run_round_increments_round_index(self):
-        cfg = fed_cfg(rounds=1)
-        state = FederationState(global_weights=init_weights(TINY, cfg.master_seed),
-                                profiles=make_profiles(TINY, 4))
-        state2, rec = run_round(state, cfg)
-        assert state2.round_index == 1 and rec.round == 0
-
-
-class TestMeasureTraffic:
-    def test_single_round_totals(self):
-        cfg = fed_cfg(rounds=1, n_clients=1, participation_rate=1.0)
-        _, log = run_federation(cfg, TINY, make_profiles(TINY, 1))
-        p = log[0].client_specs[0]["param_count"]
-        stats = measure_traffic(log)
-        assert stats["total_bytes"] == 16 * p
-        assert stats["per_client_mean_bytes_per_round"] == 16 * p
-
-    def test_halved_widths_cost_less_than_full(self):
-        full_run = run_federation(fed_cfg(rounds=2), TINY, make_profiles(TINY, 4))[1]
-        half_run = run_federation(fed_cfg(rounds=2, ratio_set=(0.5,)), TINY,
-                                  make_profiles(TINY, 4))[1]
-        assert measure_traffic(half_run)["total_bytes"] \
-            < measure_traffic(full_run)["total_bytes"]
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(ValidationError):
-            measure_traffic([])
+    def test_run_round_continues_a_federation(self):
+        kw = dict(ratio_set=(0.5, 1.0), participation_rate=0.5, eval_every=1)
+        evals = [tiny_batch(7, n=6)]
+        w1, _ = run_federation(fed_cfg(rounds=1, **kw), TINY, make_profiles(TINY, 4),
+                               eval_batches=evals)
+        cfg = fed_cfg(rounds=2, **kw)
+        w2, log = run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batches=evals)
+        w, rec = run_round(w1, 1, make_profiles(TINY, 4), cfg, eval_batches=evals)
+        assert w.tensors.keys() == w2.tensors.keys()
+        assert all(w.tensors[k].tobytes() == w2.tensors[k].tobytes() for k in w.tensors)
+        got, want = asdict(rec), asdict(log[1])
+        got.pop("wall_time"), want.pop("wall_time")
+        assert got == want and got["round"] == 1 and got["accuracy"] is not None

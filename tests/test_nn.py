@@ -248,7 +248,7 @@ def cache_test_models():
     w = init_weights(DEEP, 8)
     spec = uniform_spec(DEEP, 0.5)
     return {"small": init_weights(SMALL, 2),
-            "deep-submodel": extract_submodel(prioritize_model(w)[0], spec)}
+            "deep-submodel": extract_submodel(prioritize_model(w), spec)}
 
 
 class TestCacheFreeForward:

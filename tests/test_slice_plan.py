@@ -37,7 +37,7 @@ def specs(cfg, within=None):
 def test_count_extract_and_coverage_agree(data):
     cfg = data.draw(configs())
     spec = data.draw(specs(cfg))
-    prioritized, _ = prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99))))
+    prioritized = prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99))))
     sub = extract_submodel(prioritized, spec)
     # a NaN global: exactly the coordinates the update covers become finite
     nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan)

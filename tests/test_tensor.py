@@ -46,3 +46,11 @@ class TestRngStream:
         a = RngStream(42, 7).random(100)
         b = RngStream(42, 8).random(100)
         assert not np.array_equal(a, b)
+
+    def test_is_a_philox_generator_keyed_by_seed_and_stream(self):
+        for seed, stream_id in [(0, 0), (42, 7), (9, 2 << 32)]:
+            rng = RngStream(seed, stream_id)
+            ref = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+            assert isinstance(rng, np.random.Generator)
+            assert np.array_equal(rng.random(50), ref.random(50))
+            assert np.array_equal(rng.integers(0, 9, 50), ref.integers(0, 9, 50))
