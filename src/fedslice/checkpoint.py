@@ -13,6 +13,7 @@ tensor names have the form ``__*__``).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import fields
 
@@ -75,13 +76,14 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8 tensor name at offset {name_at}") from exc
         (rank,) = struct.unpack("<I", take(4, "rank"))
+        dims_at = pos
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims")) if rank else ()
-        n_values = 1
-        for d in dims:
-            n_values *= d
         payload_at = pos
-        data = np.frombuffer(take(8 * n_values, f"payload of {name!r}"), dtype="<f8")
-        arr = data.astype(np.float64).reshape(dims)
+        data = np.frombuffer(take(8 * math.prod(dims), f"payload of {name!r}"), dtype="<f8")
+        try:
+            arr = data.astype(np.float64).reshape(dims)
+        except ValueError as exc:  # more dims, or a larger one, than numpy holds
+            raise FormatError(f"unsupported shape {dims} at offset {dims_at}: {exc}") from exc
         if not np.all(np.isfinite(arr)):
             raise FormatError(f"non-finite values in tensor {name!r} at offset {payload_at}")
         if name in tensors:

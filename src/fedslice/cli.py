@@ -1,12 +1,15 @@
 """Command-line entry points: run, verify, extract, inspect.
 
 Exit codes: 0 success, 1 validation/config, 2 runtime/numeric, 3 I/O.
+`run` writes its outputs and then exits 2, naming the first such round,
+if a round dropped every participant or recorded a non-finite eval loss.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -49,6 +52,10 @@ def _cmd_run(args) -> int:
     acc = summary["final_accuracy"]
     print(f"completed {summary['rounds']} rounds; "
           f"final accuracy = {acc if acc is not None else 'n/a'}")
+    for r in log:
+        if len(r.dropped) == len(r.participants) or not math.isfinite(r.loss or 0.0):
+            raise NumericError(f"round {r.round} went wrong: {len(r.dropped)} of "
+                               f"{len(r.participants)} participants dropped, eval loss {r.loss}")
     return EXIT_OK
 
 

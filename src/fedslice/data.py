@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_types
 from .nn import Batch
 from .tensor import RngStream
 
@@ -31,6 +31,7 @@ class TaskSpec:
     seed: int
 
     def __post_init__(self):
+        check_types(self, "task")
         if self.kind not in TASK_KINDS:
             raise ValidationError(f"unknown task kind {self.kind!r}")
         if self.seq_len < 1 or self.vocab_size < 1 or self.n_samples < 1:
@@ -74,6 +75,7 @@ class PartitionSpec:
     seed: int
 
     def __post_init__(self):
+        check_types(self, "partition")
         if self.dirichlet_alpha <= 0:
             raise ValidationError("dirichlet_alpha must be > 0")
         if self.n_clients < 1:
@@ -85,8 +87,6 @@ def dirichlet_partition(labels: np.ndarray, part: PartitionSpec) -> list[list[in
     proportions; always disjoint, exhaustive, and free of empty shards."""
     labels = np.asarray(labels)
     n = len(labels)
-    if n == 0:
-        raise ValidationError("labels are empty")
     if part.n_clients > n:
         raise ValidationError(f"{part.n_clients} clients for only {n} samples")
 
@@ -113,8 +113,6 @@ def dirichlet_partition(labels: np.ndarray, part: PartitionSpec) -> list[list[in
 def batches_from_indices(tokens: np.ndarray, labels: np.ndarray,
                          indices, batch_size: int) -> list[Batch]:
     """Fixed-order mini-batches over the given sample indices."""
-    if batch_size < 1:
-        raise ValidationError("batch_size must be >= 1")
     indices = np.asarray(sorted(indices), dtype=np.intp)
     out = []
     for start in range(0, len(indices), batch_size):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AggregationError, ConfigError, NumericError, ValidationError
+from .errors import (AggregationError, ConfigError, NumericError, ValidationError,
+                     check_types)
 from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
@@ -46,8 +47,9 @@ class ClientProfile:
     def __post_init__(self):
         if not self.shard:
             raise ValidationError(f"client {self.client_id} has an empty shard")
-        if self.lr < 0:
-            raise ValidationError(f"client {self.client_id} lr must be >= 0")
+
+
+_SPP = {"section": "spp"}  # the config section that sets a field
 
 
 @dataclass
@@ -58,15 +60,17 @@ class FederationConfig:
     ratio_set: tuple
     master_seed: int
     eval_every: int = 1
-    permute_qk: bool = True
-    permute_vo: bool = True
-    permute_ffn: bool = True
+    permute_qk: bool = field(default=True, metadata=_SPP)
+    permute_vo: bool = field(default=True, metadata=_SPP)
+    permute_ffn: bool = field(default=True, metadata=_SPP)
 
     def __post_init__(self):
+        check_types(self, "federation")
+        self.ratio_set = tuple(self.ratio_set)
         if not 0 < self.participation_rate <= 1:
             raise ConfigError("participation_rate must be in (0, 1]")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        if self.rounds < 0 or self.eval_every < 0:
+            raise ConfigError("rounds and eval_every must be >= 0")
         if not self.ratio_set or not all(0 < r <= 1 for r in self.ratio_set):
             raise ConfigError(f"ratio_set must be non-empty, in (0, 1]: {list(self.ratio_set)}")
 
@@ -86,8 +90,6 @@ class RoundRecord:
 
 def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int]:
     """ceil(rate * n_clients) distinct ids, uniform without replacement."""
-    if not 0 < rate <= 1:
-        raise ConfigError("participation rate must be in (0, 1]")
     k = int(np.ceil(rate * n_clients))
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
@@ -149,11 +151,8 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
     model_cfg = global_w.config
-    client_specs = []
-    updates = []
-    dropped = []
-    bytes_down = 0
-    bytes_up = 0
+    client_specs, updates, dropped = [], [], []
+    bytes_down = bytes_up = 0
     for cid in participants:
         profile = profiles[cid]
         spec_rng = RngStream(seed, STREAM_SPEC + (t << 20) + cid)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError, check_types
 from .tensor import RngStream
 
 LN_EPS = 1e-5
@@ -35,10 +35,10 @@ class ModelConfig:
     max_seq: int
 
     def __post_init__(self):
+        check_types(self, "ModelConfig")
         for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int or value < 1:
-                raise ValidationError(f"ModelConfig.{f.name} must be an integer >= 1: {value!r}")
+            if getattr(self, f.name) < 1:
+                raise ValidationError(f"ModelConfig.{f.name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,6 @@ def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) ->
 
 
 def sgd_step(w: ModelWeights, g: dict[str, np.ndarray], lr: float) -> ModelWeights:
-    if lr < 0:
-        raise ValidationError("learning rate must be >= 0")
     for name, grad in g.items():
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient in {name}; step refused")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .nn import ModelConfig, ModelWeights, attention_scores, full_shapes
 from .tensor import RngStream, check_permutation
 
@@ -219,15 +219,8 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
                          rng: RngStream) -> SubmodelSpec:
     """Draw each prunable width independently from the ratio set, rejecting
     draws over budget; falls back to the all-minimum spec after
-    ``_MAX_ATTEMPTS`` rejections."""
+    ``_MAX_ATTEMPTS`` rejections. The caller checks that this floor fits."""
     ratios = sorted(ratio_set)
-    if not ratios or ratios[0] <= 0 or ratios[-1] > 1:
-        raise ConfigError(f"ratio set must lie in (0, 1]: {ratio_set}")
-    floor = min_spec(cfg, ratios)
-    if param_count(floor, cfg) > budget.max_params:
-        raise ConfigError(
-            f"budget {budget.max_params} below the minimum spec "
-            f"({param_count(floor, cfg)} params)")
     full, n = full_spec(cfg), len(ratios)
     # each maximum's width per ratio, worked out once instead of once per draw
     scaled = functools.cache(lambda maximum: [_scaled_width(r, maximum) for r in ratios])
@@ -235,7 +228,7 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
         spec = _map_widths(full, lambda maximum: scaled(maximum)[rng.integers(0, n)])
         if param_count(spec, cfg) <= budget.max_params:
             return spec
-    return floor
+    return min_spec(cfg, ratios)
 
 
 def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:

@@ -6,7 +6,6 @@ import numpy as np
 
 from . import data as data_mod
 from .config import RunConfig
-from .errors import ConfigError
 from .fed import ClientProfile, run_federation
 from .nn import Batch
 from .scaling import ResourceBudget, full_spec, param_count
@@ -17,8 +16,6 @@ def build_profiles(cfg: RunConfig):
     clients, and assign cyclic budget fractions."""
     tokens, labels = data_mod.generate(cfg.task)
     n_eval = int(round(cfg.eval_fraction * cfg.task.n_samples))
-    if n_eval >= cfg.task.n_samples:
-        raise ConfigError("eval_fraction leaves no training data")
     n_train = cfg.task.n_samples - n_eval
     train_tokens, train_labels = tokens[:n_train], labels[:n_train]
     eval_batches = [Batch(tokens=tokens[n_train:], labels=labels[n_train:])] if n_eval else None
@@ -27,9 +24,8 @@ def build_profiles(cfg: RunConfig):
     full_params = param_count(full_spec(cfg.model), cfg.model)
 
     profiles = []
-    fractions = cfg.budget_fractions
     for cid, shard_idx in enumerate(shards):
-        frac = fractions[cid % len(fractions)]
+        frac = cfg.budget_fractions[cid % len(cfg.budget_fractions)]
         profiles.append(ClientProfile(
             client_id=cid,
             budget=ResourceBudget(max_params=int(frac * full_params)),

@@ -1,7 +1,11 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedslice import cli
 from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
@@ -39,7 +43,7 @@ MALFORMED = [
     ("federation", "ratio_set", [0.5, 1.5], "ratio_set"),
     ("clients", "budget_fractions", [], "budget_fractions"),
     ("clients", "budget_fractions", [0.5, "x"], "budget_fractions"),
-    ("clients", "budget_fractions", 0.5, "not iterable"),
+    ("clients", "budget_fractions", 0.5, "clients.budget_fractions"),
     ("clients", "lr", "x", "clients.lr"),
     ("clients", "lr", float("nan"), "clients.lr"),
     ("clients", "lr", -0.1, "clients.lr"),
@@ -52,8 +56,29 @@ MALFORMED = [
     ("clients", "eval_fraction", float("nan"), "clients.eval_fraction"),
     ("clients", "eval_fraction", -0.1, "clients.eval_fraction"),
     ("clients", "eval_fraction", 1.0, "clients.eval_fraction"),
+    ("clients", "eval_fraction", 0.999, "leave training data"),
     ("model", "d_model", 2.5, "ModelConfig.d_model"),
     ("model", "n_heads", True, "ModelConfig.n_heads"),
+    ("federation", "rounds", 1.5, "federation.rounds"),
+    ("federation", "rounds", True, "federation.rounds"),
+    ("federation", "n_clients", 2.5, "federation.n_clients"),
+    ("federation", "master_seed", "s", "federation.master_seed"),
+    ("federation", "eval_every", -1, "eval_every"),
+    ("federation", "participation_rate", 0, "participation_rate"),
+    ("federation", "participation_rate", 1.5, "participation_rate"),
+    ("federation", "participation_rate", "x", "federation.participation_rate"),
+    ("task", "n_samples", 80.5, "task.n_samples"),
+    ("task", "seed", "x", "task.seed"),
+    ("partition", "dirichlet_alpha", float("nan"), "partition.dirichlet_alpha"),
+    ("partition", "dirichlet_alpha", float("inf"), "partition.dirichlet_alpha"),
+    ("partition", "dirichlet_alpha", 0, "dirichlet_alpha"),
+    ("partition", "seed", 1.5, "partition.seed"),
+    ("spp", "permute_qk", "yes", "spp.permute_qk"),
+    ("clients", "local_epochs", -1, "clients.local_epochs"),
+    ("clients", "batch_size", 0, "clients.batch_size"),
+    ("task", "vocab_size", 9, "task.vocab_size = 9 exceeds model.vocab_size"),
+    ("task", "n_classes", 5, "task.n_classes = 5 exceeds model.n_classes"),
+    ("task", "seq_len", 20, "task.seq_len = 20 exceeds model.max_seq"),
 ]
 
 
@@ -62,7 +87,7 @@ def malformed_doc(section, key, value):
     if key is None:
         doc[section] = value
     else:
-        doc[section][key] = value
+        doc.setdefault(section, {})[key] = value
     return doc
 
 
@@ -123,13 +148,37 @@ class TestCheckpoint:
         arr[0, 0] = np.nan
         blob = bytearray()
         blob += b"RFFM"
-        import struct
         blob += struct.pack("<II", 1, 1)
         blob += struct.pack("<I", 1) + b"a" + struct.pack("<I", 2)
         blob += struct.pack("<QQ", 2, 2) + arr.astype("<f8").tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
             read_checkpoint(path)
+
+    def test_shape_numpy_cannot_hold_rejected_with_offset(self, tmp_path):
+        # one tensor "a" of rank 2 with dims (0, 2**63): no payload, no array
+        path = tmp_path / "t.rffm"
+        path.write_bytes(b"RFFM" + struct.pack("<III", 1, 1, 1) + b"a"
+                         + struct.pack("<IQQ", 2, 0, 2 ** 63))
+        with pytest.raises(FormatError, match="at offset 21"):
+            read_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_corrupt_model_reads_or_raises_format_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("ckpt") / "m.rffm"
+        write_checkpoint(path, model_to_tensors(
+            init_weights(ModelConfig(1, 2, 2, 1, 1, 2, 3, 2, 2), 1)))
+        blob = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(blob) - 1))
+            blob[at] ^= data.draw(st.integers(1, 255))
+        blob = blob[:data.draw(st.integers(0, len(blob)))]
+        path.write_bytes(bytes(blob))
+        try:
+            tensors_to_model(read_checkpoint(path))
+        except FormatError:
+            pass
 
 
 class TestRunConfig:
@@ -153,6 +202,28 @@ class TestRunConfig:
     def test_invalid_json_reports_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_run_config('{\n "model": }')
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_any_value_parses_or_raises_config_error(self, data):
+        doc = run_config_doc()
+        section, key = data.draw(st.sampled_from(
+            [(section, None) for section in doc]
+            + [(section, key) for section in doc for key in doc[section]]))
+        value = data.draw(st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=5))
+        try:
+            parse_run_config(json.dumps(malformed_doc(section, key, value)))
+        except ConfigError:
+            return
+        # accepted: the value has the JSON type of the one it replaced (an
+        # integer may stand for a float), and a float is finite
+        original = doc[section] if key is None else doc[section][key]
+        assert type(value) is type(original) or (type(original), type(value)) == (float, int)
+        assert type(value) is not float or math.isfinite(value)
 
     def test_seed_override(self):
         cfg = parse_run_config(json.dumps(run_config_doc()), seed_override=99)
@@ -205,6 +276,21 @@ class TestCmdRun:
         path = write_config(tmp_path, malformed_doc("clients", "budget_fractions", [0.3]))
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert "below minimum spec size" in capsys.readouterr().err
+
+    def test_diverged_run_writes_outputs_and_exits_2(self, tmp_path, capsys):
+        # at lr 1e300 round 0 drops one of two clients and evaluates to NaN,
+        # and round 1 drops both
+        for eval_every, message in [
+                (1, "round 0 went wrong: 1 of 2 participants dropped, eval loss nan"),
+                (0, "round 1 went wrong: 2 of 2 participants dropped")]:
+            doc = malformed_doc("clients", "lr", 1e300)
+            doc["federation"]["eval_every"] = eval_every
+            out = tmp_path / f"out{eval_every}"
+            with np.errstate(all="ignore"):
+                assert cli.main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == [
+                "final_weights.rffm", "metrics.jsonl", "summary.json"]
 
     def test_missing_file_exits_3(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 3

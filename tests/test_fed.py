@@ -120,10 +120,6 @@ class TestSelectParticipants:
         b = select_participants(50, 0.3, RngStream(5, 9))
         assert a == b
 
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            select_participants(10, 0.0, RngStream(1, 0))
-
 
 class TestLocalTrain:
     def test_zero_epochs_is_identity(self):

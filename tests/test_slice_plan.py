@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from fedslice.fed import aggregate
 from fedslice.nn import ModelConfig, ModelWeights, init_weights
-from fedslice.scaling import (SubmodelSpec, extract_submodel, full_spec, param_count,
-                              prioritize_model)
+from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, full_spec,
+                              min_spec, param_count, prioritize_model, sample_submodel_spec)
+from fedslice.tensor import RngStream
 
 
 @st.composite
@@ -58,3 +59,15 @@ def test_nested_extraction_equals_direct(data):
     direct = extract_submodel(w, inner)
     assert nested.tensors.keys() == direct.tensors.keys()
     assert all(np.array_equal(nested[k], direct[k]) for k in direct.tensors)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_prioritized_extraction_of_a_sampled_spec_fits_the_budget(data):
+    cfg = data.draw(configs())
+    ratios = data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1))
+    budget = ResourceBudget(data.draw(st.integers(param_count(min_spec(cfg, ratios), cfg),
+                                                  param_count(full_spec(cfg), cfg))))
+    spec = sample_submodel_spec(cfg, budget, ratios, RngStream(data.draw(st.integers(0, 99))))
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    assert extract_submodel(prioritize_model(w), spec).param_total() <= budget.max_params
