@@ -1,6 +1,7 @@
 """Command-line entry points: run, verify, extract, inspect.
 
-Exit codes: 0 success, 1 validation/config, 2 runtime/numeric, 3 I/O.
+Exit codes: 0 success, 1 validation/config, 2 runtime/numeric or out of
+memory, 3 I/O.
 `run` writes its outputs and then exits 2, naming the first such round,
 if a round dropped every participant or recorded a non-finite eval loss.
 """
@@ -174,6 +175,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (NumericError, AggregationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

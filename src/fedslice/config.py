@@ -41,9 +41,9 @@ class RunConfig:
         if not 0 <= self.eval_fraction < 1 \
                 or round(self.eval_fraction * self.task.n_samples) >= self.task.n_samples:
             raise ConfigError("clients.eval_fraction must be in [0, 1) and leave training data")
-        if not self.budget_fractions or min(self.budget_fractions) <= 0:
+        if not self.budget_fractions or not all(0 < f <= 1 for f in self.budget_fractions):
             raise ConfigError("clients.budget_fractions must be a non-empty list of "
-                              f"positive numbers: {self.budget_fractions}")
+                              f"numbers in (0, 1]: {self.budget_fractions}")
         for key, limit in _TASK_LIMITS.items():  # task <= model
             if getattr(self.task, key) > getattr(self.model, limit):
                 raise ConfigError(f"task.{key} = {getattr(self.task, key)} exceeds "

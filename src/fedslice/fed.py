@@ -3,8 +3,11 @@
 One round = prioritize the global weights, sample a budget-compliant spec
 per participant, slice out sub-models, train them locally, then fuse: every
 global coordinate becomes the mean over the clients whose spec covers it,
-and uncovered coordinates carry over unchanged. With full-width specs this
-reduces exactly to FedAvg.
+and uncovered coordinates carry over unchanged. A spec keeps leading
+channels along one axis of each tensor, so how many clients cover a
+coordinate depends only on its index along that axis: fusion keeps one
+count per index, not per coordinate. With full-width specs this reduces
+exactly to FedAvg.
 
 Participants are handled one at a time: each one's sub-model is extracted
 just before it trains, so a round holds one untrained sub-model at a time.
@@ -112,12 +115,12 @@ def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
 def aggregate(global_w: ModelWeights,
               updates: list[tuple[SubmodelSpec, ModelWeights]]) -> ModelWeights:
     """Per-coordinate mean over covering clients; uncovered coordinates keep
-    the previous global value."""
+    the previous global value. Coverage is counted once per index of each
+    tensor's cut axis and broadcast over its other axes."""
     cfg = global_w.config
     shapes = {name: arr.shape for name, arr in global_w.tensors.items()}
     sums = {name: np.zeros_like(arr) for name, arr in global_w.tensors.items()}
-    counts = {name: np.zeros(arr.shape, dtype=np.int64)
-              for name, arr in global_w.tensors.items()}
+    counts = {}  # name -> count per index of the cut axis, 1 along every other
     for spec, w in updates:
         spec.validate(cfg)
         for name, idx in slice_plan(spec, shapes).items():
@@ -127,13 +130,17 @@ def aggregate(global_w: ModelWeights,
                     f"update tensor {name} has shape {sub.shape}, "
                     f"spec expects {sums[name][idx].shape}")
             sums[name][idx] += sub
+            if name not in counts:
+                counts[name] = np.zeros([n if axis == len(idx) - 1 else 1
+                                         for axis, n in enumerate(shapes[name])],
+                                        dtype=np.int64)
             counts[name][idx] += 1
     merged = {}
     for name, garr in global_w.tensors.items():
-        c = counts[name]
-        covered = c > 0
         new = garr.copy()
-        new[covered] = sums[name][covered] / c[covered]
+        if name in counts:
+            c = counts[name]
+            np.divide(sums[name], c, out=new, where=c > 0)
         merged[name] = new
     return ModelWeights(cfg, merged)
 

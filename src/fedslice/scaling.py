@@ -215,19 +215,42 @@ def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
     return uniform_spec(cfg, min(ratio_set))
 
 
+@functools.lru_cache(maxsize=16)
+def _draw_table(cfg: ModelConfig, ratios: tuple) -> tuple:
+    """(fixed, widths, costs) for the sampler: widths[r, j] is the j-th width
+    `_map_widths` visits, scaled by ratios[r], and costs[r, j] its parameter
+    cost, so a draw's count is fixed + the sum of its picks' costs. The
+    tables hold Python ints when the full model's count overflows int64."""
+    full = full_spec(cfg)
+    fixed, per_unit = _param_costs(cfg)
+    per_unit = dict(per_unit)
+    maxima, unit = [], []
+    for family, layers in _by_family(full).items():
+        for heads in layers:
+            maxima += heads
+            unit += [per_unit[family]] * len(heads)
+    dtype = np.int64 if param_count(full, cfg) <= np.iinfo(np.int64).max else object
+    widths = np.array([[_scaled_width(r, m) for m in maxima] for r in ratios], dtype=dtype)
+    return fixed, widths, widths * np.array(unit, dtype=dtype)
+
+
 def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
                          rng: RngStream) -> SubmodelSpec:
     """Draw each prunable width independently from the ratio set, rejecting
     draws over budget; falls back to the all-minimum spec after
-    ``_MAX_ATTEMPTS`` rejections. The caller checks that this floor fits."""
-    ratios = sorted(ratio_set)
-    full, n = full_spec(cfg), len(ratios)
-    # each maximum's width per ratio, worked out once instead of once per draw
-    scaled = functools.cache(lambda maximum: [_scaled_width(r, maximum) for r in ratios])
+    ``_MAX_ATTEMPTS`` rejections. The caller checks that this floor fits.
+
+    One attempt is one vector draw of ratio indices, which takes the same
+    values from the stream as one scalar draw per width in `_map_widths`
+    order; only the accepted draw is built into a spec."""
+    ratios = tuple(sorted(ratio_set))
+    fixed, widths, costs = _draw_table(cfg, ratios)
+    cols = np.arange(widths.shape[1])
     for _ in range(_MAX_ATTEMPTS):
-        spec = _map_widths(full, lambda maximum: scaled(maximum)[rng.integers(0, n)])
-        if param_count(spec, cfg) <= budget.max_params:
-            return spec
+        picks = rng.integers(0, len(ratios), size=len(cols))
+        if fixed + int(costs[picks, cols].sum()) <= budget.max_params:
+            drawn = iter(widths[picks, cols].tolist())
+            return _map_widths(full_spec(cfg), lambda _: next(drawn))
     return min_spec(cfg, ratios)
 
 

@@ -44,6 +44,8 @@ MALFORMED = [
     ("clients", "budget_fractions", [], "budget_fractions"),
     ("clients", "budget_fractions", [0.5, "x"], "budget_fractions"),
     ("clients", "budget_fractions", 0.5, "clients.budget_fractions"),
+    ("clients", "budget_fractions", [1e308], "clients.budget_fractions"),
+    ("clients", "budget_fractions", [1.5], "clients.budget_fractions"),
     ("clients", "lr", "x", "clients.lr"),
     ("clients", "lr", float("nan"), "clients.lr"),
     ("clients", "lr", -0.1, "clients.lr"),
@@ -291,6 +293,15 @@ class TestCmdRun:
             assert f"error: {message}" in capsys.readouterr().err
             assert sorted(p.name for p in out.iterdir()) == [
                 "final_weights.rffm", "metrics.jsonl", "summary.json"]
+
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        def exhausted(cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "run_simulation", exhausted)
+        path = write_config(tmp_path, run_config_doc())
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "error: out of memory: Unable to allocate 7.28 TiB" in capsys.readouterr().err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 3

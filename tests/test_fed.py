@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedslice import fed
 from fedslice.errors import AggregationError, ConfigError, ValidationError
@@ -14,6 +16,8 @@ from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model)
 from fedslice.tensor import RngStream
+
+from test_slice_plan import configs, specs
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
@@ -207,6 +211,25 @@ class TestAggregate:
             expected = oracle_aggregate(g, updates)
             for k in g.tensors:
                 assert np.array_equal(out.tensors[k], expected[k]), k
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_oracle_on_drawn_specs(self, data):
+        cfg = data.draw(configs())
+        rng = RngStream(data.draw(st.integers(0, 99)), 0)
+        updates = [(s, random_update(cfg, s, rng))
+                   for s in data.draw(st.lists(specs(cfg), min_size=1, max_size=4))]
+        g = init_weights(cfg, 1)
+        out = aggregate(g, updates)
+        expected = oracle_aggregate(g, updates)
+        for k in g.tensors:
+            assert out.tensors[k].tobytes() == expected[k].tobytes(), k
+
+    def test_no_updates_keep_global(self):
+        g = init_weights(TINY, 1)
+        out = aggregate(g, [])
+        assert out.tensors.keys() == g.tensors.keys()
+        assert all(out.tensors[k].tobytes() == g.tensors[k].tobytes() for k in g.tensors)
 
     def test_wrong_shape_rejected(self):
         g = init_weights(TINY, 1)

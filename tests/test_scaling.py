@@ -4,10 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fedslice import scaling
 from fedslice.errors import ShapeError
 from fedslice.nn import Batch, ModelConfig, forward, init_weights
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, joint_qk_salience, param_count,
+                              full_spec, joint_qk_salience, min_spec, param_count,
                               prioritize_model, rank_channels, salience_l1,
                               sample_submodel_spec, uniform_spec,
                               verify_theorem1)
@@ -173,6 +174,23 @@ class TestSampleSubmodelSpec:
             spec = sample_submodel_spec(CFG, budget, [0.25, 0.5, 0.75, 1.0],
                                         RngStream(42, 5000 + trial))
             assert param_count(spec, CFG) <= budget.max_params
+
+    def test_floor_fallback_counts_parameters_at_most_once(self, monkeypatch):
+        # every attempt is over budget, so the sampler falls back to the floor
+        cfg = ModelConfig(n_layers=2, d_model=8, n_heads=4, d_k=8, d_v=8, d_ff=16,
+                          vocab_size=5, n_classes=2, max_seq=4)
+        ratios = [0.25, 1.0]
+        floor = min_spec(cfg, ratios)
+        calls = []
+
+        def counting(spec, cfg):
+            calls.append(spec)
+            return param_count(spec, cfg)
+
+        monkeypatch.setattr(scaling, "param_count", counting)
+        budget = ResourceBudget(param_count(floor, cfg))
+        assert sample_submodel_spec(cfg, budget, ratios, RngStream(3, 7)) == floor
+        assert len(calls) <= 1
 
     def test_draws_pinned(self):
         # widths are drawn ffn by layer, then qk and v by layer and head

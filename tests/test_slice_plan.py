@@ -1,14 +1,17 @@
 """Property tests: slicing, fusion and parameter counts select the same
 coordinates, because all three read one slice plan."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice.fed import aggregate
 from fedslice.nn import ModelConfig, ModelWeights, init_weights
-from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, full_spec,
-                              min_spec, param_count, prioritize_model, sample_submodel_spec)
+from fedslice.scaling import (_MAX_ATTEMPTS, ResourceBudget, SubmodelSpec, extract_submodel,
+                              full_spec, min_spec, param_count, prioritize_model,
+                              sample_submodel_spec)
 from fedslice.tensor import RngStream
 
 
@@ -71,3 +74,49 @@ def test_prioritized_extraction_of_a_sampled_spec_fits_the_budget(data):
     spec = sample_submodel_spec(cfg, budget, ratios, RngStream(data.draw(st.integers(0, 99))))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     assert extract_submodel(prioritize_model(w), spec).param_total() <= budget.max_params
+
+
+def reference_sample(cfg, budget, ratio_set, rng):
+    """The sampler drawn the long way: one scalar draw per width, family by
+    family, then layer and head, and a param_count per attempt."""
+    ratios, full = sorted(ratio_set), full_spec(cfg)
+
+    def draw(maximum):
+        return max(1, math.ceil(ratios[rng.integers(0, len(ratios))] * maximum))
+
+    for _ in range(_MAX_ATTEMPTS):
+        spec = SubmodelSpec(
+            ffn_widths=tuple(draw(m) for m in full.ffn_widths),
+            qk_widths=tuple(tuple(draw(m) for m in heads) for heads in full.qk_widths),
+            v_widths=tuple(tuple(draw(m) for m in heads) for heads in full.v_widths))
+        if param_count(spec, cfg) <= budget.max_params:
+            return spec
+    return min_spec(cfg, ratios)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sampler_equals_scalar_draw_reference_and_consumes_the_same_stream(data):
+    cfg = data.draw(configs())
+    ratios = data.draw(st.lists(st.floats(0, 1, exclude_min=True), min_size=1, max_size=5))
+    floor = param_count(min_spec(cfg, ratios), cfg)
+    budget = ResourceBudget(data.draw(st.just(floor)
+                                      | st.integers(floor, param_count(full_spec(cfg), cfg))))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    fast, slow = RngStream(seed, 7), RngStream(seed, 7)
+    got = sample_submodel_spec(cfg, budget, ratios, fast)
+    assert got == reference_sample(cfg, budget, ratios, slow)
+    assert all(type(w) is int for w in got.ffn_widths + sum(got.qk_widths + got.v_widths, ()))
+    assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
+
+
+def test_sampler_counts_exactly_beyond_int64():
+    # ffn width 2**62 costs 9 parameters a unit: the full model overflows int64
+    cfg = ModelConfig(n_layers=1, d_model=4, n_heads=1, d_k=2, d_v=2, d_ff=2 ** 62,
+                      vocab_size=2, n_classes=2, max_seq=1)
+    ratios = [0.5, 1.0]
+    budget = ResourceBudget(param_count(full_spec(cfg), cfg) - 1)
+    for seed in range(20):
+        fast, slow = RngStream(seed, 7), RngStream(seed, 7)
+        assert (sample_submodel_spec(cfg, budget, ratios, fast)
+                == reference_sample(cfg, budget, ratios, slow))
