@@ -259,6 +259,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) -> dict:
+    """d(mean cross-entropy)/d(tensor) for every tensor, in tensor order.
+
+    A layer's wq/wk/wv gradients are column slices of one einsum over every
+    head's concatenated d(a1 @ w), bit for bit the per-tensor einsums:
+    - exact, because einsum sums each output coordinate over (b, l) in the
+      same order whatever the output's width;
+    - bias sums stay per head, because a width-1 head's (B, l, 1) sum takes
+      numpy's contiguous pairwise path, which one sum over the concatenation
+      would not.
+    """
     if cache is None:
         raise ValidationError("backward needs the cache of forward(..., keep_cache=True)")
     if cache.weights is not w:
@@ -299,6 +309,7 @@ def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) ->
         do_cat = dx2 @ w[f"layer{i}.wo"].T
 
         da1 = np.zeros_like(lc.a1)
+        d_proj = {}  # wq/wk/wv name -> d(a1 @ it), in grads order
         offset = 0
         for h in range(cfg.n_heads):
             p = f"layer{i}.head{h}"
@@ -312,13 +323,17 @@ def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) ->
             dscores /= np.sqrt(lc.q[h].shape[-1])
             dq = dscores @ lc.k[h]
             dk = dscores.transpose(0, 2, 1) @ lc.q[h]
-            grads[f"{p}.wq"] = np.einsum("bld,blk->dk", lc.a1, dq)
+            d_proj.update({f"{p}.wq": dq, f"{p}.wk": dk, f"{p}.wv": dv})
             grads[f"{p}.bq"] = dq.sum(axis=(0, 1))
-            grads[f"{p}.wk"] = np.einsum("bld,blk->dk", lc.a1, dk)
             grads[f"{p}.bk"] = dk.sum(axis=(0, 1))
-            grads[f"{p}.wv"] = np.einsum("bld,blk->dk", lc.a1, dv)
             grads[f"{p}.bv"] = dv.sum(axis=(0, 1))
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
+
+        d_cat = np.einsum("bld,blk->dk", lc.a1, np.concatenate(list(d_proj.values()), axis=-1))
+        end = 0
+        for name, d in d_proj.items():
+            grads[name] = d_cat[:, end:end + d.shape[-1]]
+            end += d.shape[-1]
 
         dx_ln, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
         grads[f"layer{i}.ln1.scale"] = dsc1

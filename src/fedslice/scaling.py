@@ -14,7 +14,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -284,11 +286,26 @@ def _stack(picks: list, have: tuple) -> np.ndarray:
     return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
 
 
-def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
+def slice_plan(spec: SubmodelSpec, shapes: dict) -> Mapping:
     """For every tensor of a model with these shapes, the index that selects
     the coordinates the spec keeps (``()`` keeps the whole tensor). Rows of
     wo are placed by the model's own per-head v widths, so the model may
-    itself be a sub-model; a spec wider than it raises ShapeError."""
+    itself be a sub-model; a spec wider than it raises ShapeError.
+
+    Plans are cached per (spec, shapes), so a participant's extraction and
+    fusion share one, and read-only, so no caller can change another's."""
+    return _cached_plan(spec, tuple(shapes.items()))
+
+
+# 64 is above a round's distinct plans on every benchmark workload (fanout:
+# 37 for 48 participants), so fusion finds the plans extraction built. A
+# round with more evicts each plan before fusion reads it and builds it twice.
+@functools.lru_cache(maxsize=64)
+def _cached_plan(spec: SubmodelSpec, shape_items: tuple) -> Mapping:
+    return MappingProxyType(_build_slice_plan(spec, dict(shape_items)))
+
+
+def _build_slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     plan = dict.fromkeys(shapes, ())
     keep = _by_family(spec)
     n_layers, n_heads = len(spec.ffn_widths), len(spec.qk_widths[0])
@@ -306,6 +323,7 @@ def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
                 kept = slice(0, sum(k))
             else:
                 kept = _stack([range(n) for n in k], hv)
+                kept.flags.writeable = False
             plan[name] = (slice(None),) * axis + (kept,)
     return plan
 

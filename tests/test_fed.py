@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslice import fed
+from fedslice import fed, scaling
 from fedslice.errors import AggregationError, ConfigError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, aggregate, local_train,
                           run_federation, run_round, select_participants)
@@ -343,6 +343,27 @@ class TestRounds:
         for cid, cs in zip(rec.participants, rec.client_specs):
             expected += [("extract", cs["spec"]), ("train", cid), ("trained", cid)]
         assert events == expected
+
+    def test_round_builds_each_distinct_slice_plan_once(self, monkeypatch):
+        # floor-budget clients all get the floor spec; the others draw theirs
+        floor = param_count(scaling.min_spec(TINY, (0.5, 1.0)), TINY)
+        profiles = make_profiles(TINY, 8)
+        for p in profiles[::2]:
+            p.budget = ResourceBudget(floor)
+        built = []
+        real_build = scaling._build_slice_plan
+
+        def build(spec, shapes):
+            built.append(spec)
+            return real_build(spec, shapes)
+
+        scaling._cached_plan.cache_clear()
+        monkeypatch.setattr(scaling, "_build_slice_plan", build)
+        cfg = fed_cfg(n_clients=8, ratio_set=(0.5, 1.0), rounds=1)
+        _, rec = run_round(init_weights(TINY, cfg.master_seed), 0, profiles, cfg)
+        specs = [SubmodelSpec.from_dict(cs["spec"]) for cs in rec.client_specs]
+        assert len(specs) == 8 and len(set(specs)) < 8
+        assert sorted(map(str, built)) == sorted(map(str, set(specs)))
 
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))

@@ -2,13 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedslice import nn
 from fedslice.errors import NumericError, ValidationError
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
                          backward, evaluate, forward, init_weights, sgd_step,
                          softmax_cross_entropy)
 from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
 from fedslice.tensor import RngStream
+from test_slice_plan import specs
 
 SMALL = ModelConfig(n_layers=1, d_model=6, n_heads=2, d_k=3, d_v=3, d_ff=8,
                     vocab_size=11, n_classes=3, max_seq=8)
@@ -171,6 +175,93 @@ class TestBackward:
             backward(other, cache, batch.labels)
         with pytest.raises(ValidationError):
             backward(w, cache, batch.labels[:-1])
+
+    def test_one_einsum_per_weight_gradient_group(self, monkeypatch):
+        # per layer: w2, w1, wo, and one for every head's wq/wk/wv
+        w = extract_submodel(prioritize_model(init_weights(DEEP, 4)), uniform_spec(DEEP, 0.5))
+        batch = small_batch(4, cfg=DEEP)
+        _, cache = forward(w, batch)
+        calls = []
+        einsum = np.einsum
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(nn.np, "einsum", counting)
+        backward(w, cache, batch.labels)
+        assert len(calls) == 4 * DEEP.n_layers
+
+
+def per_head_backward(w, cache, labels):
+    """backward() with one weight-gradient einsum per wq/wk/wv tensor, as
+    it was written before they were fused into one einsum per layer."""
+    grads = dict.fromkeys(w.tensors)
+    _, dlogits = softmax_cross_entropy(cache.logits, labels)
+    grads["cls.w"] = cache.pooled.T @ dlogits
+    grads["cls.b"] = dlogits.sum(axis=0)
+    dpooled = dlogits @ w["cls.w"].T
+    seq_len = cache.batch.tokens.shape[1]
+    dx = np.repeat(dpooled[:, None, :], seq_len, axis=1) / seq_len
+    for i in reversed(range(w.config.n_layers)):
+        lc = cache.layers[i]
+        grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
+        grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
+        dh1 = (dx @ w[f"layer{i}.w2"].T) * (lc.h1 > 0)
+        grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", lc.a2, dh1)
+        grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
+        dx2_ln, grads[f"layer{i}.ln2.scale"], grads[f"layer{i}.ln2.shift"] = \
+            nn._layer_norm_backward(dh1 @ w[f"layer{i}.w1"].T, w[f"layer{i}.ln2.scale"], lc.ln2)
+        dx2 = dx + dx2_ln
+        grads[f"layer{i}.bo"] = dx2.sum(axis=(0, 1))
+        grads[f"layer{i}.wo"] = np.einsum("blc,bld->cd", lc.o_cat, dx2)
+        do_cat = dx2 @ w[f"layer{i}.wo"].T
+        da1 = np.zeros_like(lc.a1)
+        offset = 0
+        for h in range(w.config.n_heads):
+            p = f"layer{i}.head{h}"
+            dv_h = lc.v[h].shape[-1]
+            do_h = do_cat[..., offset:offset + dv_h]
+            offset += dv_h
+            probs = lc.probs[h]
+            dprobs = do_h @ lc.v[h].transpose(0, 2, 1)
+            dv = probs.transpose(0, 2, 1) @ do_h
+            dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
+            dscores /= np.sqrt(lc.q[h].shape[-1])
+            dq = dscores @ lc.k[h]
+            dk = dscores.transpose(0, 2, 1) @ lc.q[h]
+            grads[f"{p}.wq"] = np.einsum("bld,blk->dk", lc.a1, dq)
+            grads[f"{p}.bq"] = dq.sum(axis=(0, 1))
+            grads[f"{p}.wk"] = np.einsum("bld,blk->dk", lc.a1, dk)
+            grads[f"{p}.bk"] = dk.sum(axis=(0, 1))
+            grads[f"{p}.wv"] = np.einsum("bld,blk->dk", lc.a1, dv)
+            grads[f"{p}.bv"] = dv.sum(axis=(0, 1))
+            da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
+        dx_ln, grads[f"layer{i}.ln1.scale"], grads[f"layer{i}.ln1.shift"] = \
+            nn._layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
+        dx = dx2 + dx_ln
+    grads["embed"] = np.zeros_like(w["embed"])
+    np.add.at(grads["embed"], cache.batch.tokens, dx)
+    return grads
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_backward_bit_equal_to_per_head_oracle(data):
+    cfg = ModelConfig(n_layers=data.draw(st.integers(1, 2)), d_model=data.draw(st.integers(1, 24)),
+                      n_heads=data.draw(st.integers(1, 4)), d_k=data.draw(st.integers(1, 9)),
+                      d_v=data.draw(st.integers(1, 9)), d_ff=data.draw(st.integers(1, 12)),
+                      vocab_size=5, n_classes=data.draw(st.integers(1, 4)), max_seq=9)
+    spec = data.draw(specs(cfg))  # head widths down to 1
+    w = extract_submodel(prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99)))), spec)
+    batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 20)),
+                        seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
+    _, cache = forward(w, batch)
+    got = backward(w, cache, batch.labels)
+    want = per_head_backward(w, cache, batch.labels)
+    assert list(got) == list(want)
+    for name, g in want.items():
+        assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
 
 
 class TestSgdStep:

@@ -4,14 +4,16 @@ coordinates, because all three read one slice plan."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedslice import scaling
 from fedslice.fed import aggregate
-from fedslice.nn import ModelConfig, ModelWeights, init_weights
+from fedslice.nn import ModelConfig, ModelWeights, full_shapes, init_weights
 from fedslice.scaling import (_MAX_ATTEMPTS, ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, min_spec, param_count, prioritize_model,
-                              sample_submodel_spec)
+                              sample_submodel_spec, slice_plan)
 from fedslice.tensor import RngStream
 
 
@@ -120,3 +122,24 @@ def test_sampler_counts_exactly_beyond_int64():
         fast, slow = RngStream(seed, 7), RngStream(seed, 7)
         assert (sample_submodel_spec(cfg, budget, ratios, fast)
                 == reference_sample(cfg, budget, ratios, slow))
+
+
+def test_equal_arguments_share_one_read_only_plan():
+    cfg = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=3, d_ff=4,
+                      vocab_size=4, n_classes=3, max_seq=4)
+    spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((1, 2),))
+    shapes = full_shapes(cfg)
+    plan = slice_plan(spec, shapes)
+    again = slice_plan(SubmodelSpec.from_dict(spec.to_dict()), dict(shapes))
+    fresh = scaling._build_slice_plan(spec, shapes)
+    assert again is plan and list(plan) == list(fresh)
+    for name, idx in fresh.items():
+        assert len(plan[name]) == len(idx)
+        assert all(np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
+                   for a, b in zip(plan[name], idx))
+    wo_rows = plan["layer0.wo"][0]  # head 0 keeps 1 of 3 v channels: not one run
+    assert wo_rows.tolist() == [0, 3, 4]
+    with pytest.raises(TypeError):
+        plan["layer0.wo"] = ()
+    with pytest.raises(ValueError):
+        wo_rows[0] = 1
