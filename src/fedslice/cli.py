@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation/config, 2 runtime/numeric or out of
 memory, 3 I/O.
 `run` writes its outputs and then exits 2, naming the first such round,
 if a round dropped every participant or recorded a non-finite eval loss.
+Its JSON outputs are strict JSON: a non-finite float is written as null.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ EXIT_RUNTIME = 2
 EXIT_IO = 3
 
 
+def _json(doc, **kw) -> str:
+    """doc as strict JSON, with null in place of every non-finite float."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+    return json.dumps(finite(doc), allow_nan=False, sort_keys=True, **kw)
+
+
 def _cmd_run(args) -> int:
     with open(args.config) as f:
         text = f.read()
@@ -44,10 +56,9 @@ def _cmd_run(args) -> int:
 
     with open(os.path.join(args.out, "metrics.jsonl"), "w") as f:
         for record in log:
-            f.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+            f.write(_json(asdict(record)) + "\n")
     with open(os.path.join(args.out, "summary.json"), "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(_json(summary, indent=2) + "\n")
     write_checkpoint(os.path.join(args.out, "final_weights.rffm"),
                      model_to_tensors(final_weights))
     acc = summary["final_accuracy"]

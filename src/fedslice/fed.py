@@ -28,7 +28,8 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
 from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
-                      param_count, prioritize_model, sample_submodel_spec, slice_plan)
+                      param_count, plan_shape, prioritize_model, sample_submodel_spec,
+                      slice_plan)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -36,7 +37,6 @@ BYTES_PER_PARAM = 8
 # stream-id allocation: one namespace per randomized stage
 STREAM_SELECT = 1 << 32
 STREAM_SPEC = 2 << 32
-STREAM_INIT_SEED = 0
 
 
 @dataclass
@@ -125,10 +125,10 @@ def aggregate(global_w: ModelWeights,
         spec.validate(cfg)
         for name, idx in slice_plan(spec, shapes).items():
             sub = w.tensors[name]
-            if sub.shape != sums[name][idx].shape:
+            if sub.shape != plan_shape(shapes[name], idx):
                 raise AggregationError(
                     f"update tensor {name} has shape {sub.shape}, "
-                    f"spec expects {sums[name][idx].shape}")
+                    f"spec expects {plan_shape(shapes[name], idx)}")
             sums[name][idx] += sub
             if name not in counts:
                 counts[name] = np.zeros([n if axis == len(idx) - 1 else 1

@@ -7,16 +7,21 @@ the most salient units. Query/key columns of one attention head are always
 permuted by the same ranking, which leaves the head's attention scores
 unchanged; value/output and FFN permutations are mirrored on the consuming
 matrix's rows, which preserves the full forward function exactly.
+
+Which channels each width keeps is worked out in one place, `_layout`: one
+slot per width of a spec, and for every tensor CUTS names, the slots whose
+channels it lays end to end along its cut axis. Prioritization, extraction,
+fusion, parameter counts and the sampler all walk a spec through it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +39,8 @@ CUTS = {
     "head{h}.wv": ("v", 1), "head{h}.bv": ("v", 0), "wo": ("v", 0),
     "w1": ("ffn", 1), "b1": ("ffn", 0), "w2": ("ffn", 0),
 }
-# a model's own widths are read from the first tensor CUTS lists per family
-_WIDTH_SOURCE = {family: (tmpl, axis) for tmpl, (family, axis) in reversed(CUTS.items())}
+# families with one width per head; the others have one per layer
+_PER_HEAD = {family for tmpl, (family, _) in CUTS.items() if "{h}" in tmpl}
 
 
 @dataclass(frozen=True)
@@ -52,19 +57,15 @@ class SubmodelSpec:
     v_widths: tuple
 
     def validate(self, cfg: ModelConfig) -> None:
-        have, full = _values(self), _values(full_spec(cfg))
-        if any(len(widths) != cfg.n_layers for widths in have):
+        if any(len(widths) != cfg.n_layers for widths in _values(self)):
             raise ValidationError("spec layer count does not match config")
-        for family, widths, maxima in zip(_FAMILIES, have, full):
-            if not _per_head(family):  # check the layers' widths as one row
-                widths, maxima = (widths,), (maxima,)
-            for row, row_maxima in zip(widths, maxima):
-                if len(row) != len(row_maxima):
-                    raise ValidationError("spec head count does not match config")
-                for width, maximum in zip(row, row_maxima):
-                    if not 1 <= width <= maximum:
-                        raise ValidationError(
-                            f"{family} width {width} out of [1, {maximum}]")
+        have = _flat(self)
+        slots = _layout(cfg.n_layers, cfg.n_heads).slots
+        if len(have) != len(slots) or _spec(have, cfg.n_layers, cfg.n_heads) != self:
+            raise ValidationError("spec head count does not match config")  # a layer's is off
+        for (family, _, _), width, maximum in zip(slots, have, _flat(full_spec(cfg))):
+            if not 1 <= width <= maximum:
+                raise ValidationError(f"{family} width {width} out of [1, {maximum}]")
 
     def to_dict(self) -> dict:
         return {"ffn_widths": list(self.ffn_widths),
@@ -93,8 +94,50 @@ _values = operator.attrgetter(*_FIELDS)  # a spec's width tuples in field order
 _MAX_ATTEMPTS = 100  # sampler draws before it falls back to the floor spec
 
 
-def _per_head(family: str) -> bool:
-    return "{h}" in _WIDTH_SOURCE[family][0]
+class _Layout(NamedTuple):
+    slots: tuple    # (family, layer, head) per width of a spec; head is None per layer
+    cuts: tuple     # (tensor, axis, indices of the slots laid end to end along axis)
+    sources: tuple  # (tensor, axis) per slot: where a model's own width is read
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n_layers: int, n_heads: int) -> _Layout:
+    """Where every width of a spec of this shape lives. Slots run family by
+    family in field order, then by layer, then by head: the order of
+    `_flat`, `_spec` and the sampler's draws. A slot's source is the first
+    tensor CUTS lists that it cuts alone."""
+    slots = tuple((family, i, h) for family in _FAMILIES for i in range(n_layers)
+                  for h in (range(n_heads) if family in _PER_HEAD else [None]))
+    by_layer = {}  # (family, layer) -> indices of its slots, in head order
+    for j, (family, i, _) in enumerate(slots):
+        by_layer[family, i] = by_layer.get((family, i), ()) + (j,)
+    cuts, sources = [], {}
+    for i in range(n_layers):
+        for tmpl, (family, axis) in CUTS.items():
+            layer = by_layer[family, i]
+            for h, js in enumerate([(j,) for j in layer]) if "{h}" in tmpl else [(None, layer)]:
+                name = f"layer{i}.{tmpl.format(h=h)}"
+                cuts.append((name, axis, js))
+                if len(js) == 1:
+                    sources.setdefault(js[0], (name, axis))
+    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))))
+
+
+def _flat(spec: SubmodelSpec) -> list:
+    """The spec's widths in slot order."""
+    return [w for family, widths in zip(_FAMILIES, _values(spec))
+            for w in (itertools.chain.from_iterable(widths) if family in _PER_HEAD else widths)]
+
+
+def _spec(widths, n_layers: int, n_heads: int) -> SubmodelSpec:
+    """The spec whose widths in slot order are these."""
+    it = iter(widths)
+
+    def field(family):
+        if family in _PER_HEAD:
+            return tuple(tuple(itertools.islice(it, n_heads)) for _ in range(n_layers))
+        return tuple(itertools.islice(it, n_layers))
+    return SubmodelSpec(*map(field, _FAMILIES))
 
 
 @functools.lru_cache(maxsize=16)
@@ -103,19 +146,12 @@ def full_spec(cfg: ModelConfig) -> SubmodelSpec:
 
 
 def uniform_spec(cfg: ModelConfig, ratio: float) -> SubmodelSpec:
-    return _map_widths(full_spec(cfg), lambda maximum: _scaled_width(ratio, maximum))
+    return _spec([_scaled_width(ratio, m) for m in _flat(full_spec(cfg))],
+                 cfg.n_layers, cfg.n_heads)
 
 
 def _scaled_width(ratio: float, maximum: int) -> int:
     return max(1, math.ceil(ratio * maximum))
-
-
-def _map_widths(spec: SubmodelSpec, fn) -> SubmodelSpec:
-    """The spec with fn(width) in place of every width, called family by
-    family in field order, then by layer and head."""
-    def apply(widths):
-        return tuple([apply(w) if isinstance(w, tuple) else fn(w) for w in widths])
-    return SubmodelSpec(*apply(_values(spec)))
 
 
 def salience_l1(w: np.ndarray) -> np.ndarray:
@@ -151,23 +187,24 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
     channels along the axes CUTS gives, so a cut keeps the most salient ones.
     """
     cfg = w.config
-    out = w.copy()
-    have = _by_family(spec_of({name: arr.shape for name, arr in w.tensors.items()},
-                              cfg.n_layers, cfg.n_heads))
-    for i in range(cfg.n_layers):
-        perms = {family: [np.arange(k) for k in widths[i]] for family, widths in have.items()}
-        for h in range(cfg.n_heads):
-            p = f"layer{i}.head{h}"
-            if permute_qk:
-                perms["qk"][h] = rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"]))
-            if permute_vo:
-                perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"]))
-        if permute_ffn:
-            perms["ffn"] = [rank_channels(salience_l1(w[f"layer{i}.w1"]))]
-        for name, family, axis, h in _cut_tensors(i, cfg.n_heads):
-            perm = perms[family][h] if h is not None else _stack(perms[family], have[family][i])
-            out.tensors[name] = np.take(w[name], perm, axis=axis)
-    return out
+    layout = _layout(cfg.n_layers, cfg.n_heads)
+    have = [w[name].shape[axis] for name, axis in layout.sources]
+    perms = []  # one per slot
+    for (family, i, h), n in zip(layout.slots, have):
+        p = f"layer{i}.head{h}"
+        if family == "qk" and permute_qk:
+            perms.append(rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"])))
+        elif family == "v" and permute_vo:
+            perms.append(rank_channels(salience_l1(w[f"{p}.wv"])))
+        elif family == "ffn" and permute_ffn:
+            perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
+        else:
+            perms.append(np.arange(n))
+    cut = {name: np.take(w[name], perms[js[0]] if len(js) == 1 else
+                         _stack([perms[j] for j in js], [have[j] for j in js]), axis=axis)
+           for name, axis, js in layout.cuts}
+    return ModelWeights(cfg, {name: cut[name] if name in cut else arr.copy()
+                              for name, arr in w.tensors.items()})
 
 
 def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
@@ -180,37 +217,25 @@ def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
     return float((np.abs(base - permuted) / denom).max())
 
 
-def _by_family(spec: SubmodelSpec) -> dict:
-    """The spec's widths by CUTS family, layer and head (a per-layer family
-    has one head)."""
-    return {family: widths if _per_head(family) else tuple([(w,) for w in widths])
-            for family, widths in zip(_FAMILIES, _values(spec))}
-
-
-def _width_sums(spec: SubmodelSpec) -> dict:
-    return {family: sum(map(sum, widths)) if _per_head(family) else sum(widths)
-            for family, widths in zip(_FAMILIES, _values(spec))}
-
-
 @functools.lru_cache(maxsize=16)
 def _param_costs(cfg: ModelConfig) -> tuple:
-    """(fixed, ((family, cost per unit of width), ...)): a spec's parameter
-    count is fixed + sum(cost x its total width of the family)."""
-    shapes = full_shapes(cfg)
-    per_unit = dict.fromkeys(_WIDTH_SOURCE, 0)
-    for name, family, axis, _ in _cut_tensors(0, 1):
-        per_unit[family] += math.prod(shapes[name]) // shapes[name][axis]
-    full = _width_sums(full_spec(cfg))
-    fixed = sum(map(math.prod, shapes.values())) - sum(per_unit[f] * full[f] for f in per_unit)
-    return fixed, tuple(per_unit.items())
+    """(fixed, unit): a spec's parameter count is fixed + the sum over slots
+    of unit[j] x its width j, where unit[j] counts the parameters one
+    channel of slot j holds across the tensors that cut it."""
+    shapes, layout = full_shapes(cfg), _layout(cfg.n_layers, cfg.n_heads)
+    unit = [0] * len(layout.slots)
+    for name, axis, js in layout.cuts:
+        for j in js:
+            unit[j] += math.prod(shapes[name]) // shapes[name][axis]
+    full = sum(map(operator.mul, unit, _flat(full_spec(cfg))))
+    return sum(map(math.prod, shapes.values())) - full, tuple(unit)
 
 
 def param_count(spec: SubmodelSpec, cfg: ModelConfig) -> int:
     """Exact trainable-parameter count of the sub-model the spec selects."""
     spec.validate(cfg)
-    fixed, per_unit = _param_costs(cfg)
-    sums = _width_sums(spec)
-    return fixed + sum(cost * sums[family] for family, cost in per_unit)
+    fixed, unit = _param_costs(cfg)
+    return fixed + sum(map(operator.mul, unit, _flat(spec)))
 
 
 def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
@@ -219,20 +244,14 @@ def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
 
 @functools.lru_cache(maxsize=16)
 def _draw_table(cfg: ModelConfig, ratios: tuple) -> tuple:
-    """(fixed, widths, costs) for the sampler: widths[r, j] is the j-th width
-    `_map_widths` visits, scaled by ratios[r], and costs[r, j] its parameter
-    cost, so a draw's count is fixed + the sum of its picks' costs. The
-    tables hold Python ints when the full model's count overflows int64."""
+    """(fixed, widths, costs) for the sampler: widths[r, j] is slot j's full
+    width scaled by ratios[r], and costs[r, j] its parameter cost, so a
+    draw's count is fixed + the sum of its picks' costs. The tables hold
+    Python ints when the full model's count overflows int64."""
     full = full_spec(cfg)
-    fixed, per_unit = _param_costs(cfg)
-    per_unit = dict(per_unit)
-    maxima, unit = [], []
-    for family, layers in _by_family(full).items():
-        for heads in layers:
-            maxima += heads
-            unit += [per_unit[family]] * len(heads)
+    fixed, unit = _param_costs(cfg)
     dtype = np.int64 if param_count(full, cfg) <= np.iinfo(np.int64).max else object
-    widths = np.array([[_scaled_width(r, m) for m in maxima] for r in ratios], dtype=dtype)
+    widths = np.array([[_scaled_width(r, m) for m in _flat(full)] for r in ratios], dtype=dtype)
     return fixed, widths, widths * np.array(unit, dtype=dtype)
 
 
@@ -243,88 +262,53 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
     ``_MAX_ATTEMPTS`` rejections. The caller checks that this floor fits.
 
     One attempt is one vector draw of ratio indices, which takes the same
-    values from the stream as one scalar draw per width in `_map_widths`
-    order; only the accepted draw is built into a spec."""
+    values from the stream as one scalar draw per width in slot order; only
+    the accepted draw is built into a spec."""
     ratios = tuple(sorted(ratio_set))
     fixed, widths, costs = _draw_table(cfg, ratios)
     cols = np.arange(widths.shape[1])
     for _ in range(_MAX_ATTEMPTS):
         picks = rng.integers(0, len(ratios), size=len(cols))
         if fixed + int(costs[picks, cols].sum()) <= budget.max_params:
-            drawn = iter(widths[picks, cols].tolist())
-            return _map_widths(full_spec(cfg), lambda _: next(drawn))
+            return _spec(widths[picks, cols].tolist(), cfg.n_layers, cfg.n_heads)
     return min_spec(cfg, ratios)
 
 
 def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:
     """The spec whose widths a model with these tensor shapes has."""
-    def read(family):
-        tmpl, axis = _WIDTH_SOURCE[family]
-        def width(i, h=None):
-            return shapes[f"layer{i}.{tmpl.format(h=h)}"][axis]
-        if _per_head(family):
-            return tuple(tuple(width(i, h) for h in range(n_heads)) for i in range(n_layers))
-        return tuple(width(i) for i in range(n_layers))
-    return SubmodelSpec(*map(read, _FAMILIES))
+    return _spec([shapes[name][axis] for name, axis in _layout(n_layers, n_heads).sources],
+                 n_layers, n_heads)
 
 
-def _cut_tensors(layer: int, n_heads: int):
-    """(name, family, axis, head) of each tensor CUTS names at a layer; head
-    is None for a layer tensor, which stacks the family's heads along axis."""
-    for tmpl, (family, axis) in CUTS.items():
-        if "{h}" in tmpl:
-            for h in range(n_heads):
-                yield f"layer{layer}.{tmpl.format(h=h)}", family, axis, h
-        else:
-            yield f"layer{layer}.{tmpl}", family, axis, None
-
-
-def _stack(picks: list, have: tuple) -> np.ndarray:
+def _stack(picks: list, have: list) -> np.ndarray:
     """Index along an axis of blocks of widths `have`, laid end to end, that
     takes the entries picks[b] of each block b."""
-    starts = np.cumsum((0,) + have[:-1])
+    starts = np.cumsum([0, *have[:-1]])
     return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
 
 
-def slice_plan(spec: SubmodelSpec, shapes: dict) -> Mapping:
+def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     """For every tensor of a model with these shapes, the index that selects
-    the coordinates the spec keeps (``()`` keeps the whole tensor). Rows of
-    wo are placed by the model's own per-head v widths, so the model may
-    itself be a sub-model; a spec wider than it raises ShapeError.
-
-    Plans are cached per (spec, shapes), so a participant's extraction and
-    fusion share one, and read-only, so no caller can change another's."""
-    return _cached_plan(spec, tuple(shapes.items()))
-
-
-# 64 is above a round's distinct plans on every benchmark workload (fanout:
-# 37 for 48 participants), so fusion finds the plans extraction built. A
-# round with more evicts each plan before fusion reads it and builds it twice.
-@functools.lru_cache(maxsize=64)
-def _cached_plan(spec: SubmodelSpec, shape_items: tuple) -> Mapping:
-    return MappingProxyType(_build_slice_plan(spec, dict(shape_items)))
-
-
-def _build_slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
+    the coordinates the spec keeps (``()`` keeps the whole tensor). A cut
+    keeps a leading slice when every block but its last is whole, and an
+    index array otherwise. Blocks are placed by the model's own widths, so
+    the model may itself be a sub-model; a spec wider than it raises
+    ShapeError."""
+    layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
+    keep = _flat(spec)
+    have = [shapes[name][axis] for name, axis in layout.sources]
+    for (family, i, _), k, n in zip(layout.slots, keep, have):
+        if k > n:
+            raise ShapeError(f"spec {family} width {k} at layer {i} exceeds the weights' {n}")
     plan = dict.fromkeys(shapes, ())
-    keep = _by_family(spec)
-    n_layers, n_heads = len(spec.ffn_widths), len(spec.qk_widths[0])
-    have = _by_family(spec_of(shapes, n_layers, n_heads))
-    for family in keep:
-        if any(k > h for ks, hs in zip(keep[family], have[family]) for k, h in zip(ks, hs)):
-            raise ShapeError(f"spec {family} widths {keep[family]} exceed the "
-                             f"weights' {have[family]}")
-    for i in range(n_layers):
-        for name, family, axis, h in _cut_tensors(i, n_heads):
-            k, hv = keep[family][i], have[family][i]
-            if h is not None:
-                kept = slice(0, k[h])
-            elif k[:-1] == hv[:-1]:  # one contiguous run
-                kept = slice(0, sum(k))
-            else:
-                kept = _stack([range(n) for n in k], hv)
-                kept.flags.writeable = False
-            plan[name] = (slice(None),) * axis + (kept,)
+    for name, axis, js in layout.cuts:
+        if len(js) == 1:
+            kept = slice(0, keep[js[0]])
+        elif all(keep[j] == have[j] for j in js[:-1]):
+            kept = slice(0, sum(keep[j] for j in js))
+        else:
+            kept = _stack([range(keep[j]) for j in js], [have[j] for j in js])
+        plan[name] = (slice(None),) * axis + (kept,)
     return plan
 
 

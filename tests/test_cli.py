@@ -93,6 +93,10 @@ def malformed_doc(section, key, value):
     return doc
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -293,6 +297,14 @@ class TestCmdRun:
             assert f"error: {message}" in capsys.readouterr().err
             assert sorted(p.name for p in out.iterdir()) == [
                 "final_weights.rffm", "metrics.jsonl", "summary.json"]
+            # strict JSON: the non-finite loss is written as null
+            summary = json.loads((out / "summary.json").read_text(),
+                                 parse_constant=reject_constant)
+            records = [json.loads(line, parse_constant=reject_constant)
+                       for line in (out / "metrics.jsonl").read_text().splitlines()]
+            assert summary["final_loss"] is None and len(records) == 2
+            if eval_every:
+                assert records[0]["loss"] is None
 
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
         def exhausted(cfg):
@@ -363,7 +375,8 @@ class TestCmdExtractInspect:
                  {"ratio": 0.5, "ffn_widths": [4]}, [1, 2],
                  {"ffn_widths": [4], "qk_widths": [[3, 3]]},
                  {"ffn_widths": [4.5], "qk_widths": [[3, 3]], "v_widths": [[3, 3]]},
-                 {"ffn_widths": [4], "qk_widths": [3, 3], "v_widths": [[3, 3]]}]
+                 {"ffn_widths": [4], "qk_widths": [3, 3], "v_widths": [[3, 3]]},
+                 {"ffn_widths": [4], "qk_widths": [[3, 3]], "v_widths": [[3]]}]
         for text in [json.dumps(spec) for spec in specs] + ['{"ratio": ']:
             spec_path.write_text(text)
             assert cli.main(["extract", str(ckpt_in), str(spec_path),

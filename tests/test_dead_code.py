@@ -1,0 +1,53 @@
+"""No dead code: every top-level function, class and constant in
+src/fedslice is used by the program, in src/fedslice or perfbench/, outside
+its own definition. A name that only tests use fails here."""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "fedslice").glob("*.py"))
+PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def top_level(path):
+    """The module's top-level statements, less its __all__ list, whose
+    strings export names rather than use them."""
+    return [node for node in ast.parse(path.read_text()).body
+            if not (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))]
+
+
+def defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def used_names(node):
+    """Names read in node: loaded names, attributes, and each dotted part of
+    a string, which counts by-name uses such as perfbench's span table."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def test_every_top_level_name_is_used_outside_its_definition():
+    nodes = [node for path in PROGRAM for node in top_level(path)]
+    uses = [(node, used_names(node)) for node in nodes]
+    unused = [f"{path.name}: {name}"
+              for path in PACKAGE for node in top_level(path) for name in defined_names(node)
+              if not any(name in names for other, names in uses if other is not node)]
+    assert not unused, f"defined but never used by the program: {unused}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fedslice import scaling
-from fedslice.errors import ShapeError
+from fedslice.errors import ShapeError, ValidationError
 from fedslice.nn import Batch, ModelConfig, forward, init_weights
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, joint_qk_salience, min_spec, param_count,
@@ -247,3 +247,14 @@ class TestExtractSubmodel:
         narrow = extract_submodel(wp, uniform_spec(CFG, 0.5))
         with pytest.raises(ShapeError):
             extract_submodel(narrow, full_spec(CFG))
+
+    def test_short_head_rows_rejected(self):
+        cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_k=4, d_v=4, d_ff=16,
+                          vocab_size=11, n_classes=3, max_seq=10)
+        full = full_spec(cfg)
+        for v_widths in [((3, 3), (3,)), ((3, 3), ()), ((3,), (3, 3)), ((3, 3, 3), (3,))]:
+            spec = SubmodelSpec(full.ffn_widths, full.qk_widths, v_widths)
+            with pytest.raises(ValidationError, match="head count"):
+                spec.validate(cfg)
+        with pytest.raises(ValidationError, match="head count"):
+            SubmodelSpec(full.ffn_widths[:1], full.qk_widths[:1], ((3,),)).validate(CFG)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslice import scaling
+from fedslice.errors import ShapeError
 from fedslice.fed import aggregate
 from fedslice.nn import ModelConfig, ModelWeights, full_shapes, init_weights
-from fedslice.scaling import (_MAX_ATTEMPTS, ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, min_spec, param_count, prioritize_model,
-                              sample_submodel_spec, slice_plan)
+from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
+                              extract_submodel, full_spec, joint_qk_salience, min_spec,
+                              param_count, plan_shape, prioritize_model, rank_channels,
+                              salience_l1, sample_submodel_spec, slice_plan, spec_of)
 from fedslice.tensor import RngStream
 
 
@@ -124,22 +125,126 @@ def test_sampler_counts_exactly_beyond_int64():
                 == reference_sample(cfg, budget, ratios, slow))
 
 
-def test_equal_arguments_share_one_read_only_plan():
+def test_a_wo_cut_is_one_run_exactly_when_every_head_but_the_last_is_whole():
     cfg = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=3, d_ff=4,
                       vocab_size=4, n_classes=3, max_seq=4)
     spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((1, 2),))
-    shapes = full_shapes(cfg)
-    plan = slice_plan(spec, shapes)
-    again = slice_plan(SubmodelSpec.from_dict(spec.to_dict()), dict(shapes))
-    fresh = scaling._build_slice_plan(spec, shapes)
-    assert again is plan and list(plan) == list(fresh)
-    for name, idx in fresh.items():
-        assert len(plan[name]) == len(idx)
-        assert all(np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b
-                   for a, b in zip(plan[name], idx))
-    wo_rows = plan["layer0.wo"][0]  # head 0 keeps 1 of 3 v channels: not one run
-    assert wo_rows.tolist() == [0, 3, 4]
-    with pytest.raises(TypeError):
-        plan["layer0.wo"] = ()
-    with pytest.raises(ValueError):
-        wo_rows[0] = 1
+    wo_rows = slice_plan(spec, full_shapes(cfg))["layer0.wo"][0]
+    assert wo_rows.tolist() == [0, 3, 4]  # head 0 keeps 1 of 3 v channels: not one run
+    whole_first = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((3, 2),))
+    assert slice_plan(whole_first, full_shapes(cfg))["layer0.wo"] == (slice(0, 5),)
+
+
+def reference_widths(shapes, n_layers, n_heads):
+    """A model's widths by family, layer and head, read from the first
+    tensor CUTS lists per family (a per-layer family has one head)."""
+    first = {family: (tmpl, axis) for tmpl, (family, axis) in reversed(CUTS.items())}
+    return {family: [tuple(shapes[f"layer{i}.{tmpl.format(h=h)}"][axis]
+                           for h in (range(n_heads) if "{h}" in tmpl else [None]))
+                     for i in range(n_layers)]
+            for family, (tmpl, axis) in first.items()}
+
+
+def reference_cuts(layer, n_heads):
+    """(name, family, axis, head) of each tensor CUTS names at a layer; head
+    is None for a tensor that stacks the family's heads along axis."""
+    for tmpl, (family, axis) in CUTS.items():
+        for h in range(n_heads) if "{h}" in tmpl else [None]:
+            yield f"layer{layer}.{tmpl.format(h=h)}", family, axis, h
+
+
+def reference_stack(picks, have):
+    starts = np.cumsum((0,) + tuple(have[:-1]))
+    return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
+
+
+def reference_plan(spec, shapes):
+    """The slice plan built layer by layer, with a branch per head tensor."""
+    n_layers, n_heads = len(spec.ffn_widths), len(spec.qk_widths[0])
+    keep = {"ffn": [(w,) for w in spec.ffn_widths], "qk": spec.qk_widths, "v": spec.v_widths}
+    have = reference_widths(shapes, n_layers, n_heads)
+    plan = dict.fromkeys(shapes, ())
+    for i in range(n_layers):
+        for name, family, axis, h in reference_cuts(i, n_heads):
+            k, hv = tuple(keep[family][i]), have[family][i]
+            if h is not None:
+                kept = slice(0, k[h])
+            elif k[:-1] == hv[:-1]:
+                kept = slice(0, sum(k))
+            else:
+                kept = reference_stack([range(n) for n in k], hv)
+            plan[name] = (slice(None),) * axis + (kept,)
+    return plan
+
+
+def reference_prioritize(w, permute_qk, permute_vo, permute_ffn):
+    """Prioritization layer by layer, with a branch per head tensor."""
+    cfg = w.config
+    out = w.copy()
+    have = reference_widths({n: a.shape for n, a in w.tensors.items()},
+                            cfg.n_layers, cfg.n_heads)
+    for i in range(cfg.n_layers):
+        perms = {family: [np.arange(k) for k in widths[i]] for family, widths in have.items()}
+        for h in range(cfg.n_heads):
+            p = f"layer{i}.head{h}"
+            if permute_qk:
+                perms["qk"][h] = rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"]))
+            if permute_vo:
+                perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"]))
+        if permute_ffn:
+            perms["ffn"] = [rank_channels(salience_l1(w[f"layer{i}.w1"]))]
+        for name, family, axis, h in reference_cuts(i, cfg.n_heads):
+            perm = perms[family][h] if h is not None else reference_stack(perms[family],
+                                                                          have[family][i])
+            out.tensors[name] = np.take(w[name], perm, axis=axis)
+    return out
+
+
+def same_index(a, b):
+    return len(a) == len(b) and all(
+        type(x) is type(y) and (np.array_equal(x, y) and x.dtype == y.dtype
+                                if isinstance(y, np.ndarray) else x == y)
+        for x, y in zip(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data):
+    cfg = data.draw(configs())
+    full = full_shapes(cfg)
+    outer = data.draw(specs(cfg))
+    inner = data.draw(specs(cfg, within=outer))
+    narrow = {name: plan_shape(full[name], idx)
+              for name, idx in reference_plan(outer, full).items()}
+    for spec, shapes in [(outer, full), (inner, full), (inner, narrow)]:
+        got, want = slice_plan(spec, shapes), reference_plan(spec, shapes)
+        assert list(got) == list(want)
+        assert all(same_index(got[name], want[name]) for name in want)
+    if outer != full_spec(cfg):
+        with pytest.raises(ShapeError):
+            slice_plan(full_spec(cfg), narrow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_prioritize_model_equals_the_reference_byte_for_byte(data):
+    cfg = data.draw(configs())
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    w = extract_submodel(w, data.draw(specs(cfg)))  # prioritization takes sub-models too
+    flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    got, want = prioritize_model(w, *flags), reference_prioritize(w, *flags)
+    assert list(got.tensors) == list(want.tensors)
+    for name, arr in want.tensors.items():
+        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape)
+        assert got[name].tobytes() == arr.tobytes()
+        assert not np.shares_memory(got[name], w[name])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_spec_of_reads_back_the_spec_a_sub_model_was_cut_to(data):
+    cfg = data.draw(configs())
+    spec = data.draw(specs(cfg))
+    sub = extract_submodel(init_weights(cfg, data.draw(st.integers(0, 99))), spec)
+    shapes = {name: arr.shape for name, arr in sub.tensors.items()}
+    assert spec_of(shapes, cfg.n_layers, cfg.n_heads) == spec
