@@ -47,12 +47,16 @@ def _json(doc, **kw) -> str:
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as f:
-        text = f.read()
+    with open(args.config, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     cfg = parse_run_config(text, seed_override=args.seed)
     os.makedirs(args.out, exist_ok=True)
 
-    final_weights, log, summary = run_simulation(cfg)
+    with np.errstate(all="ignore"):  # every non-finite value is handled where it arises
+        final_weights, log, summary = run_simulation(cfg)
 
     with open(os.path.join(args.out, "metrics.jsonl"), "w") as f:
         for record in log:
@@ -96,9 +100,9 @@ def _cmd_verify(args) -> int:
         rng = RngStream(args.seed, 60_000 + trial)
         batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 6))),
                       labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
-        base, _ = forward(w, batch)
+        base, _ = forward(w, batch, keep_cache=False)
         wp = prioritize_model(w)
-        after, _ = forward(wp, batch)
+        after, _ = forward(wp, batch, keep_cache=False)
         rel = np.abs(base - after) / np.maximum(1.0, np.maximum(np.abs(base), np.abs(after)))
         diff = float(rel.max())
         if diff > 1e-9:

@@ -103,10 +103,10 @@ def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
             logits, cache = forward(w, batch)
-            loss, _ = softmax_cross_entropy(logits, batch.labels)
+            loss, dlogits = softmax_cross_entropy(logits, batch.labels)
             if not np.isfinite(loss):
                 raise NumericError(f"client {profile.client_id}: non-finite loss")
-            grads = backward(w, cache, batch.labels)
+            grads = backward(cache, dlogits)
             del cache  # it holds the activations and the pre-step weights
             w = sgd_step(w, grads, profile.lr)
     return w

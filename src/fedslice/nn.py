@@ -97,9 +97,6 @@ class ModelWeights:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
     def param_total(self) -> int:
         return sum(int(v.size) for v in self.tensors.values())
 
@@ -180,7 +177,6 @@ class _LayerCache:
     o_cat: np.ndarray | None = None
     a2: np.ndarray | None = None
     ln2: tuple | None = None
-    h1: np.ndarray | None = None
     relu: np.ndarray | None = None
 
 
@@ -190,7 +186,6 @@ class ForwardCache:
     batch: Batch
     layers: list
     pooled: np.ndarray
-    logits: np.ndarray
 
 
 def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
@@ -217,8 +212,8 @@ def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
     h1 = a2 @ w[f"layer{i}.w1"] + w[f"layer{i}.b1"]
     relu = np.maximum(h1, 0.0)
     if cache is not None:
-        cache.a1, cache.ln1, cache.o_cat, cache.a2, cache.ln2 = a1, ln1, o_cat, a2, ln2
-        cache.h1, cache.relu = h1, relu
+        cache.a1, cache.ln1, cache.o_cat, cache.a2, cache.ln2, cache.relu = \
+            a1, ln1, o_cat, a2, ln2, relu
     return x2 + relu @ w[f"layer{i}.w2"] + w[f"layer{i}.b2"]
 
 
@@ -233,8 +228,6 @@ def forward(w: ModelWeights, batch: Batch,
         raise ValidationError(f"sequence length {tokens.shape[1]} exceeds max_seq {cfg.max_seq}")
     if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
         raise ValidationError("token id out of vocabulary range")
-    if len(batch.labels) and (batch.labels.min() < 0 or batch.labels.max() >= cfg.n_classes):
-        raise ValidationError("label out of class range")
 
     x = w["embed"][tokens]  # (B, l, d)
     layer_caches = [_LayerCache() if keep_cache else None for _ in range(cfg.n_layers)]
@@ -245,21 +238,25 @@ def forward(w: ModelWeights, batch: Batch,
     logits = pooled @ w["cls.w"] + w["cls.b"]
     if not keep_cache:
         return logits, None
-    return logits, ForwardCache(weights=w, batch=batch, layers=layer_caches,
-                                pooled=pooled, logits=logits)
+    return logits, ForwardCache(weights=w, batch=batch, layers=layer_caches, pooled=pooled)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch plus d(loss)/d(logits)."""
+    """Mean loss over the batch plus d(loss)/d(logits); each label is a
+    class id in [0, logits.shape[1])."""
+    n, n_classes = logits.shape
+    # initial=0 admits an empty batch and changes no verdict on a non-empty one
+    if labels.shape != (n,) or labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+        raise ValidationError(f"labels must be {n} class ids in [0, {n_classes})")
     probs = _softmax(logits)
-    n = logits.shape[0]
     loss = -np.log(probs[np.arange(n), labels]).mean()
     probs[np.arange(n), labels] -= 1.0  # now d(loss)/d(logits) times n
     return float(loss), probs / n
 
 
-def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) -> dict:
-    """d(mean cross-entropy)/d(tensor) for every tensor, in tensor order.
+def backward(cache: ForwardCache | None, dlogits: np.ndarray) -> dict:
+    """d(loss)/d(tensor) for every tensor of the cached forward's weights, in
+    tensor order, from d(loss)/d(logits) of that forward's batch.
 
     A layer's wq/wk/wv gradients are column slices of one einsum over every
     head's concatenated d(a1 @ w), bit for bit the per-tensor einsums:
@@ -271,16 +268,13 @@ def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) ->
     """
     if cache is None:
         raise ValidationError("backward needs the cache of forward(..., keep_cache=True)")
-    if cache.weights is not w:
-        raise ValidationError("cache does not belong to these weights")
-    labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (cache.logits.shape[0],):
-        raise ValidationError("labels do not match the cached batch")
-
+    w = cache.weights
     cfg = w.config
-    grads = dict.fromkeys(w.tensors)  # fixes the key order; every value is set below
-    _, dlogits = softmax_cross_entropy(cache.logits, labels)
+    if dlogits.shape != (len(cache.batch), cfg.n_classes):
+        raise ValidationError(f"dlogits has shape {dlogits.shape}, the cached logits "
+                              f"{(len(cache.batch), cfg.n_classes)}")
 
+    grads = dict.fromkeys(w.tensors)  # fixes the key order; every value is set below
     grads["cls.w"] = cache.pooled.T @ dlogits
     grads["cls.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ w["cls.w"].T
@@ -294,7 +288,7 @@ def backward(w: ModelWeights, cache: ForwardCache | None, labels: np.ndarray) ->
         grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
         grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
         drelu = dx @ w[f"layer{i}.w2"].T
-        dh1 = drelu * (lc.h1 > 0)
+        dh1 = drelu * (lc.relu > 0)  # relu(h1) > 0 exactly where h1 > 0
         grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", lc.a2, dh1)
         grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
         da2 = dh1 @ w[f"layer{i}.w1"].T

@@ -22,6 +22,7 @@ from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model,
                               uniform_spec, verify_theorem1)
 from fedslice.tensor import RngStream
+from test_slice_plan import copy_weights
 
 
 def test_1_theorem_invariance_and_negative_control():
@@ -81,8 +82,8 @@ def test_3_gradient_correctness_every_tensor():
     rng = RngStream(31, 555)
     batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 5))),
                   labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
-    _, cache = forward(w, batch)
-    grads = backward(w, cache, batch.labels)
+    logits, cache = forward(w, batch)
+    grads = backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
 
     def loss_at():
         logits, _ = forward(w, batch)
@@ -220,12 +221,13 @@ def test_5_homogeneous_reduction_to_fedavg():
                                                 replace=False))
         trained = []
         for cid in ids:
-            local = w.copy()
+            local = copy_weights(w)
             p = profiles[cid]
             for _ in range(p.local_epochs):
                 for batch in p.shard:
-                    _, cache = forward(local, batch)
-                    local = sgd_step(local, backward(local, cache, batch.labels), p.lr)
+                    logits, cache = forward(local, batch)
+                    _, dlogits = softmax_cross_entropy(logits, batch.labels)
+                    local = sgd_step(local, backward(cache, dlogits), p.lr)
             trained.append(local)
         merged = {}
         for name, arr in w.tensors.items():
@@ -295,7 +297,7 @@ def test_7_desk_scale_run_vs_full_baseline():
 
 def _random_paired_permute(w, rng):
     """Function-preserving permutations drawn at random instead of by salience."""
-    out = w.copy()
+    out = copy_weights(w)
     cfg = w.config
     for i in range(cfg.n_layers):
         for h in range(cfg.n_heads):
@@ -329,8 +331,9 @@ def test_8_salience_beats_random_permutation_slicing():
         for _ in range(40):  # brief training so salience differentiates
             toks = np.asarray(rng.integers(0, 6, (16, 7)))
             batch = Batch(tokens=toks, labels=label_tokens(toks, task))
-            _, cache = forward(w, batch)
-            w = sgd_step(w, backward(w, cache, batch.labels), 0.3)
+            logits, cache = forward(w, batch)
+            _, dlogits = softmax_cross_entropy(logits, batch.labels)
+            w = sgd_step(w, backward(cache, dlogits), 0.3)
         toks = np.asarray(rng.integers(0, 6, (32, 7)))
         probe = Batch(tokens=toks, labels=label_tokens(toks, task))
         full_logits, _ = forward(w, probe)

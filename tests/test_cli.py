@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,10 +14,11 @@ from hypothesis import strategies as st
 from fedslice import cli
 from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
                                  write_checkpoint)
-from fedslice.config import parse_run_config
+from fedslice.config import _model_values, parse_run_config
 from fedslice.errors import ConfigError, FormatError
-from fedslice.nn import ModelConfig, init_weights
+from fedslice.nn import ModelConfig, full_shapes, init_weights
 from fedslice.scaling import param_count, uniform_spec
+from test_slice_plan import configs
 
 
 def run_config_doc(**overrides):
@@ -231,6 +236,11 @@ class TestRunConfig:
         assert type(value) is type(original) or (type(original), type(value)) == (float, int)
         assert type(value) is not float or math.isfinite(value)
 
+    @settings(max_examples=50, deadline=None)
+    @given(configs())
+    def test_size_check_counts_every_model_value(self, model):
+        assert _model_values(model) == sum(map(math.prod, full_shapes(model).values()))
+
     def test_seed_override(self):
         cfg = parse_run_config(json.dumps(run_config_doc()), seed_override=99)
         assert cfg.federation.master_seed == 99
@@ -305,6 +315,36 @@ class TestCmdRun:
             assert summary["final_loss"] is None and len(records) == 2
             if eval_every:
                 assert records[0]["loss"] is None
+
+    def test_diverged_run_prints_only_its_error_line(self, tmp_path):
+        # numpy overflows on the way to the NaN loss; it must not warn about it
+        config = write_config(tmp_path, malformed_doc("clients", "lr", 1e300))
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "fedslice.cli", "run", config,
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: round 0 went wrong: 1 of 2 participants dropped, "
+                               "eval loss nan\n")
+
+    def test_non_utf8_config_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not UTF-8 text") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "d_model", 10 ** 30), ("model", "d_ff", 2 ** 62),
+        ("model", "vocab_size", 10 ** 25), ("task", "n_samples", 10 ** 20)])
+    def test_size_numpy_cannot_index_exits_1(self, tmp_path, capsys, section, key, value):
+        path = write_config(tmp_path, malformed_doc(section, key, value))
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key} = {value} is too large")
+        assert err.count("\n") == 1
 
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
         def exhausted(cfg):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslice import fed
+from fedslice import fed, nn
 from fedslice.errors import AggregationError, ConfigError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
-                         init_weights, sgd_step)
+                         init_weights, sgd_step, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model)
 from fedslice.tensor import RngStream
@@ -144,10 +144,25 @@ class TestLocalTrain:
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[batch], local_epochs=1, lr=0.2)
         out = local_train(w, p)
-        _, cache = forward(w, batch)
-        expected = sgd_step(w, backward(w, cache, batch.labels), 0.2)
+        logits, cache = forward(w, batch)
+        _, dlogits = softmax_cross_entropy(logits, batch.labels)
+        expected = sgd_step(w, backward(cache, dlogits), 0.2)
         assert all(np.array_equal(expected.tensors[k], out.tensors[k])
                    for k in w.tensors)
+
+    def test_one_loss_call_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return softmax_cross_entropy(*args)
+
+        for module in (nn, fed):  # count calls from inside nn as well as from fed
+            monkeypatch.setattr(module, "softmax_cross_entropy", counting)
+        p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
+                          shard=[tiny_batch(s) for s in range(3)], local_epochs=2, lr=0.1)
+        local_train(init_weights(TINY, 3), p)
+        assert len(calls) == 2 * 3
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython keeps call arguments on the caller's stack")

@@ -28,6 +28,12 @@ DEEP = ModelConfig(n_layers=4, d_model=32, n_heads=4, d_k=8, d_v=8, d_ff=64,
                    vocab_size=11, n_classes=3, max_seq=16)
 
 
+def forward_dlogits(w, batch):
+    """The cache of a forward pass over the batch and d(loss)/d(logits)."""
+    logits, cache = forward(w, batch)
+    return cache, softmax_cross_entropy(logits, batch.labels)[1]
+
+
 def zero_weights(cfg):
     w = init_weights(cfg, 0)
     return ModelWeights(cfg, {k: np.zeros_like(v) for k, v in w.tensors.items()})
@@ -110,12 +116,19 @@ class TestForward:
             forward(w, Batch(tokens=tokens, labels=np.array([0])))
 
 
+class TestLoss:
+    @pytest.mark.parametrize("label", [-1, SMALL.n_classes])
+    def test_label_out_of_class_range_rejected(self, label):
+        logits = init_weights(SMALL, 7)["cls.b"][None, :]
+        with pytest.raises(ValidationError, match="class ids"):
+            softmax_cross_entropy(logits, np.array([label]))
+
+
 class TestBackward:
     def test_matches_finite_differences_spot_check(self):
         w = init_weights(SMALL, 5)
         batch = small_batch(2)
-        _, cache = forward(w, batch)
-        grads = backward(w, cache, batch.labels)
+        grads = backward(*forward_dlogits(w, batch))
         eps = 1e-5
         for name in ("layer0.head0.wq", "layer0.w1", "cls.w", "layer0.ln2.scale"):
             arr = w.tensors[name]
@@ -136,16 +149,14 @@ class TestBackward:
         w = zero_weights(SMALL)
         w.tensors["cls.b"][0] = 50.0
         batch = Batch(tokens=np.array([[1, 2, 3]]), labels=np.array([0]))
-        _, cache = forward(w, batch)
-        grads = backward(w, cache, batch.labels)
+        grads = backward(*forward_dlogits(w, batch))
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total <= 1e-12
 
     def test_unused_vocab_rows_get_exact_zero_gradient(self):
         w = init_weights(SMALL, 5)
         batch = Batch(tokens=np.array([[1, 2, 3, 1]]), labels=np.array([0]))
-        _, cache = forward(w, batch)
-        grads = backward(w, cache, batch.labels)
+        grads = backward(*forward_dlogits(w, batch))
         used = {1, 2, 3}
         for tok in range(SMALL.vocab_size):
             if tok not in used:
@@ -154,33 +165,28 @@ class TestBackward:
     def test_gradients_follow_tensor_order(self):
         w = extract_submodel(init_weights(SMALL, 5), uniform_spec(SMALL, 0.5))
         batch = small_batch(3)
-        grads = backward(w, forward(w, batch)[1], batch.labels)
+        grads = backward(*forward_dlogits(w, batch))
         assert list(grads) == list(w.tensors)
         assert all(grads[k].shape == v.shape for k, v in w.tensors.items())
 
     def test_cache_free_result_rejected(self):
         w = init_weights(SMALL, 5)
         batch = small_batch(3)
-        _, cache = forward(w, batch, keep_cache=False)
+        logits, cache = forward(w, batch, keep_cache=False)
         assert cache is None
         with pytest.raises(ValidationError):
-            backward(w, cache, batch.labels)
+            backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
 
     def test_mismatched_cache_rejected(self):
-        w = init_weights(SMALL, 5)
-        batch = small_batch(3)
-        _, cache = forward(w, batch)
-        other = init_weights(SMALL, 6)
-        with pytest.raises(ValidationError):
-            backward(other, cache, batch.labels)
-        with pytest.raises(ValidationError):
-            backward(w, cache, batch.labels[:-1])
+        cache, dlogits = forward_dlogits(init_weights(SMALL, 5), small_batch(3))
+        for wrong in (dlogits[:-1], dlogits[:, :-1], dlogits.T, dlogits.ravel()):
+            with pytest.raises(ValidationError, match="dlogits has shape"):
+                backward(cache, wrong)
 
     def test_one_einsum_per_weight_gradient_group(self, monkeypatch):
         # per layer: w2, w1, wo, and one for every head's wq/wk/wv
         w = extract_submodel(prioritize_model(init_weights(DEEP, 4)), uniform_spec(DEEP, 0.5))
-        batch = small_batch(4, cfg=DEEP)
-        _, cache = forward(w, batch)
+        cache, dlogits = forward_dlogits(w, small_batch(4, cfg=DEEP))
         calls = []
         einsum = np.einsum
 
@@ -189,15 +195,15 @@ class TestBackward:
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(nn.np, "einsum", counting)
-        backward(w, cache, batch.labels)
+        backward(cache, dlogits)
         assert len(calls) == 4 * DEEP.n_layers
 
 
-def per_head_backward(w, cache, labels):
+def per_head_backward(cache, dlogits):
     """backward() with one weight-gradient einsum per wq/wk/wv tensor, as
     it was written before they were fused into one einsum per layer."""
+    w = cache.weights
     grads = dict.fromkeys(w.tensors)
-    _, dlogits = softmax_cross_entropy(cache.logits, labels)
     grads["cls.w"] = cache.pooled.T @ dlogits
     grads["cls.b"] = dlogits.sum(axis=0)
     dpooled = dlogits @ w["cls.w"].T
@@ -207,7 +213,7 @@ def per_head_backward(w, cache, labels):
         lc = cache.layers[i]
         grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
         grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
-        dh1 = (dx @ w[f"layer{i}.w2"].T) * (lc.h1 > 0)
+        dh1 = (dx @ w[f"layer{i}.w2"].T) * (lc.relu > 0)
         grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", lc.a2, dh1)
         grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
         dx2_ln, grads[f"layer{i}.ln2.scale"], grads[f"layer{i}.ln2.shift"] = \
@@ -256,9 +262,9 @@ def test_backward_bit_equal_to_per_head_oracle(data):
     w = extract_submodel(prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99)))), spec)
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 20)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
-    _, cache = forward(w, batch)
-    got = backward(w, cache, batch.labels)
-    want = per_head_backward(w, cache, batch.labels)
+    cache, dlogits = forward_dlogits(w, batch)
+    got = backward(cache, dlogits)
+    want = per_head_backward(cache, dlogits)
     assert list(got) == list(want)
     for name, g in want.items():
         assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name

@@ -18,6 +18,10 @@ from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
 from fedslice.tensor import RngStream
 
 
+def copy_weights(w):
+    return ModelWeights(w.config, {k: v.copy() for k, v in w.tensors.items()})
+
+
 @st.composite
 def configs(draw):
     return ModelConfig(n_layers=draw(st.integers(1, 2)), d_model=draw(st.integers(1, 4)),
@@ -180,7 +184,7 @@ def reference_plan(spec, shapes):
 def reference_prioritize(w, permute_qk, permute_vo, permute_ffn):
     """Prioritization layer by layer, with a branch per head tensor."""
     cfg = w.config
-    out = w.copy()
+    out = copy_weights(w)
     have = reference_widths({n: a.shape for n, a in w.tensors.items()},
                             cfg.n_layers, cfg.n_heads)
     for i in range(cfg.n_layers):
