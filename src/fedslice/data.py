@@ -48,11 +48,13 @@ def label_tokens(tokens: np.ndarray, task: TaskSpec) -> np.ndarray:
     """Apply the task rule to each row of token ids."""
     tokens = np.asarray(tokens)
     if task.kind == "majority-token":
-        # most frequent token id, ties to the smaller id, then mod n_classes
-        counts = np.zeros((tokens.shape[0], task.vocab_size), dtype=np.int64)
-        for j in range(tokens.shape[1]):
-            counts[np.arange(tokens.shape[0]), tokens[:, j]] += 1
-        return counts.argmax(axis=1) % task.n_classes
+        # most frequent token id, ties to the smaller id, then mod n_classes:
+        # in each sorted row the end of the first longest run of equal ids
+        ids = np.sort(tokens, axis=1)
+        pos = np.arange(ids.shape[1])
+        run_start = np.where(ids != np.roll(ids, 1, axis=1), pos, 0)
+        run_len = pos + 1 - np.maximum.accumulate(run_start, axis=1)
+        return ids[np.arange(ids.shape[0]), run_len.argmax(axis=1)] % task.n_classes
     if task.kind == "parity-of-sum":
         return tokens.sum(axis=1) % 2
     # keyed-lookup: the first token picks a position; the label is the token there

@@ -11,6 +11,9 @@ the arrays, which is what makes extracted sub-models runnable as-is.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -20,6 +23,7 @@ from .tensor import RngStream
 
 LN_EPS = 1e-5
 _INIT_STREAM_BASE = 100
+_EVAL_ROWS = 1024  # token positions per evaluation chunk, so its activations stay in cache
 
 
 @dataclass(frozen=True)
@@ -217,24 +221,29 @@ def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
     return x2 + relu @ w[f"layer{i}.w2"] + w[f"layer{i}.b2"]
 
 
+def _pool(w: ModelWeights, tokens: np.ndarray, layer_caches: list) -> np.ndarray:
+    """Each sequence's last-layer output averaged over its positions: every op
+    here works per sample (a stacked matmul is one GEMM per sample), so a row
+    of the result does not depend on the other rows of `tokens`."""
+    cfg = w.config
+    if tokens.shape[1] > cfg.max_seq:
+        raise ValidationError(f"sequence length {tokens.shape[1]} exceeds max_seq {cfg.max_seq}")
+    if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= cfg.vocab_size:
+        raise ValidationError("token id out of vocabulary range")
+
+    x = w["embed"][tokens]  # (B, l, d)
+    for i, cache in enumerate(layer_caches):
+        x = _layer_forward(w, i, x, cache)
+    return x.mean(axis=1)
+
+
 def forward(w: ModelWeights, batch: Batch,
             keep_cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
     """Logits for the batch and the cache `backward` needs. With
     keep_cache=False each layer's activations are freed when it returns, and the
     cache is None; the logits are the same bit for bit."""
-    cfg = w.config
-    tokens = batch.tokens
-    if tokens.shape[1] > cfg.max_seq:
-        raise ValidationError(f"sequence length {tokens.shape[1]} exceeds max_seq {cfg.max_seq}")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        raise ValidationError("token id out of vocabulary range")
-
-    x = w["embed"][tokens]  # (B, l, d)
-    layer_caches = [_LayerCache() if keep_cache else None for _ in range(cfg.n_layers)]
-    for i, cache in enumerate(layer_caches):
-        x = _layer_forward(w, i, x, cache)
-
-    pooled = x.mean(axis=1)
+    layer_caches = [_LayerCache() if keep_cache else None for _ in range(w.config.n_layers)]
+    pooled = _pool(w, batch.tokens, layer_caches)
     logits = pooled @ w["cls.w"] + w["cls.b"]
     if not keep_cache:
         return logits, None
@@ -347,16 +356,68 @@ def sgd_step(w: ModelWeights, g: dict[str, np.ndarray], lr: float) -> ModelWeigh
                                    for name, arr in w.tensors.items()})
 
 
+def _eval_chunks(tokens: np.ndarray) -> list[np.ndarray]:
+    """The rows of a non-empty token matrix cut into near-equal, non-empty
+    runs of about _EVAL_ROWS token positions each; a matrix of at most
+    _EVAL_ROWS positions stays whole."""
+    n, seq_len = tokens.shape
+    k = max(1, min(n, -(-n * seq_len // _EVAL_ROWS)))
+    bounds = [n * j // k for j in range(k + 1)]
+    return [tokens[s:e] for s, e in zip(bounds, bounds[1:])]
+
+
+def _map_threads(fn, items: list) -> list:
+    """[fn(x) for x in items] on one thread per usable core, the caller among
+    them, so one item starts no thread. Thread t takes items t, t + n, ...
+    and runs them in a copy of the caller's context (numpy's errstate is a
+    context variable); the exception of the first item that raised is
+    re-raised in the caller."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(cores or 1, len(items))
+    results = [None] * len(items)
+    errors = {}
+
+    def work(first):
+        for j in range(first, len(items), n):
+            try:
+                results[j] = fn(items[j])
+            except BaseException as exc:
+                errors[j] = exc
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work, t))
+               for t in range(1, n)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def evaluate(w: ModelWeights, batches) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy over all samples in the batches."""
-    batches = list(batches)
-    if not batches or all(len(b) == 0 for b in batches):
+    """Accuracy and mean cross-entropy over all samples in the batches, bit
+    for bit those of `forward` on each batch. Empty batches are skipped.
+
+    Each batch's sequences are pooled in chunks of about _EVAL_ROWS token
+    positions, whose activations stay in cache, on every usable core. The
+    classifier then runs once on the whole batch's pooled rows, as in
+    `forward`: it is one GEMM over all rows, and BLAS may round a row
+    differently when the GEMM has fewer rows."""
+    batches = [b for b in batches if len(b)]
+    if not batches:
         raise ValidationError("evaluation set is empty")
+    chunks = [_eval_chunks(b.tokens) for b in batches]
+    no_cache = [None] * w.config.n_layers
+    pooled = iter(_map_threads(lambda tokens: _pool(w, tokens, no_cache),
+                               [c for cs in chunks for c in cs]))
     correct = 0
     total = 0
     loss_sum = 0.0
-    for b in batches:
-        logits, _ = forward(w, b, keep_cache=False)
+    for b, cs in zip(batches, chunks):
+        logits = np.concatenate([next(pooled) for _ in cs]) @ w["cls.w"] + w["cls.b"]
         loss, _ = softmax_cross_entropy(logits, b.labels)
         loss_sum += loss * len(b)
         correct += int((logits.argmax(axis=1) == b.labels).sum())

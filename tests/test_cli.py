@@ -355,6 +355,16 @@ class TestCmdRun:
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "error: out of memory: Unable to allocate 7.28 TiB" in capsys.readouterr().err
 
+    def test_vocab_too_large_to_embed_exits_2(self, tmp_path, capsys):
+        # the token matrix and the labels fit; the (10**16, d_model) embedding cannot
+        doc = run_config_doc()
+        doc["model"]["vocab_size"] = doc["task"]["vocab_size"] = 10 ** 16
+        doc["task"]["n_samples"] = 1000
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
     def test_missing_file_exits_3(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 3
 

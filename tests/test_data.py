@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedslice.data import (PartitionSpec, TaskSpec, batches_from_indices,
                            dirichlet_partition, generate, label_tokens)
@@ -28,6 +30,31 @@ class TestLabelRules:
     def test_majority_wraps_mod_classes(self):
         t = task(seq_len=3, vocab_size=6, n_classes=4)
         assert label_tokens(np.array([[5, 5, 1]]), t).tolist() == [5 % 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_majority_equals_counting_rule(self, data):
+        vocab, n_classes = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 5))
+        n, seq_len = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        tokens = np.array(data.draw(st.lists(st.integers(0, vocab - 1),
+                                             min_size=n * seq_len, max_size=n * seq_len)),
+                          dtype=np.intp).reshape(n, seq_len)
+        # the counting rule: a (sample, token id) count matrix, first maximum wins
+        counts = np.zeros((n, vocab), dtype=np.int64)
+        for j in range(seq_len):
+            counts[np.arange(n), tokens[:, j]] += 1
+        t = task(vocab_size=vocab, seq_len=seq_len, n_classes=n_classes, n_samples=n)
+        assert label_tokens(tokens, t).tolist() == (counts.argmax(axis=1) % n_classes).tolist()
+
+    def test_majority_needs_no_vocab_sized_array(self):
+        # a (1000, 10**16) count matrix cannot be allocated
+        t = task(vocab_size=10 ** 16, n_samples=1000)
+        tokens, labels = generate(t)
+        want = []
+        for row in tokens:
+            ids, counts = np.unique(row, return_counts=True)  # ids ascending
+            want.append(int(ids[counts.argmax()]) % t.n_classes)
+        assert labels.tolist() == want
 
     def test_parity_of_sum(self):
         t = task("parity-of-sum", seq_len=3)

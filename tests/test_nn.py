@@ -1,4 +1,8 @@
+import os
+import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -103,6 +107,12 @@ class TestForward:
         logits, _ = forward(w, Batch(tokens=np.array([[3]]), labels=np.array([0])))
         assert logits.shape == (1, SMALL.n_classes)
         assert np.all(np.isfinite(logits))
+
+    def test_empty_batch(self):
+        w = init_weights(SMALL, 7)
+        empty = Batch(tokens=np.zeros((0, 5), dtype=np.intp), labels=np.zeros(0, dtype=np.intp))
+        logits, _ = forward(w, empty, keep_cache=False)
+        assert logits.shape == (0, SMALL.n_classes)
 
     def test_invalid_token_rejected(self):
         w = init_weights(SMALL, 7)
@@ -326,6 +336,86 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(init_weights(SMALL, 1), [])
 
+    def test_empty_batches_skipped(self):
+        w = init_weights(SMALL, 1)
+        empty = Batch(tokens=np.zeros((0, 5), dtype=np.intp), labels=np.zeros(0, dtype=np.intp))
+        batch = small_batch(3)
+        assert evaluate(w, [empty, batch, empty]) == evaluate(w, [batch])
+        with pytest.raises(ValidationError):
+            evaluate(w, [empty])
+
+
+def two_cores(monkeypatch):
+    """Make evaluate see two usable cores whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def two_chunk_batch(bad_token):
+    """A SMALL batch of 8 samples x 4 positions, two chunks at _EVAL_ROWS 16,
+    whose second chunk (a worker's with two threads) holds `bad_token`."""
+    batch = small_batch(4, n=8, seq=4)
+    tokens = np.minimum(batch.tokens, SMALL.vocab_size - 2)
+    tokens[6, 1] = bad_token
+    return Batch(tokens=tokens, labels=batch.labels)
+
+
+class TestChunkedEvaluate:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), seq=st.integers(1, 9), rows=st.integers(1, 64))
+    def test_chunks_are_near_equal_and_cover_the_batch(self, n, seq, rows):
+        batch = small_batch(0, n=n, seq=seq)
+        with mock.patch.object(nn, "_EVAL_ROWS", rows):
+            chunks = nn._eval_chunks(batch.tokens)
+        sizes = [len(c) for c in chunks]
+        assert np.array_equal(np.concatenate(chunks), batch.tokens)
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        assert (len(chunks) == 1) == (n * seq <= rows or n == 1)
+
+    def test_overflow_in_a_worker_chunk_raises_in_caller(self, monkeypatch):
+        two_cores(monkeypatch)
+        monkeypatch.setattr(nn, "_EVAL_ROWS", 16)
+        w = init_weights(SMALL, 3)
+        overflowing = SMALL.vocab_size - 1
+        w.tensors["embed"][overflowing] = 1e200 * (-1.0) ** np.arange(SMALL.d_model)
+        batch = two_chunk_batch(overflowing)
+        with np.errstate(all="raise"):
+            evaluate(w, [Batch(tokens=batch.tokens[:4], labels=batch.labels[:4])])
+            with pytest.raises(FloatingPointError):
+                evaluate(w, [batch])
+
+    def test_worker_validation_error_reaches_caller(self, monkeypatch):
+        two_cores(monkeypatch)
+        monkeypatch.setattr(nn, "_EVAL_ROWS", 16)
+        with pytest.raises(ValidationError, match="vocabulary"):
+            evaluate(init_weights(SMALL, 3), [two_chunk_batch(SMALL.vocab_size)])
+
+    def test_threads_are_joined_and_one_chunk_starts_none(self, monkeypatch):
+        two_cores(monkeypatch)
+        monkeypatch.setattr(nn, "_EVAL_ROWS", 16)
+        w = init_weights(SMALL, 3)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: (started.append(t), start(t)))
+        before = threading.active_count()
+        evaluate(w, [small_batch(4, n=3, seq=4)])  # 12 positions: one chunk
+        assert started == []
+        evaluate(w, [two_chunk_batch(0)])
+        assert len(started) == 1 and threading.active_count() == before
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(nn, "_EVAL_ROWS", 4)
+        w = init_weights(SMALL, 3)
+        batches = [small_batch(s, n=20, seq=4) for s in range(3)]  # 60 one-sample chunks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = evaluate(w, batches)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == cached_evaluate(w, batches)
+
 
 def cached_evaluate(w, batches):
     """evaluate() spelled out over forward passes that keep their cache."""
@@ -346,6 +436,33 @@ def cache_test_models():
     spec = uniform_spec(DEEP, 0.5)
     return {"small": init_weights(SMALL, 2),
             "deep-submodel": extract_submodel(prioritize_model(w), spec)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_chunked_evaluate_bit_equal_to_cached_evaluate(data):
+    # d_model up to 160 and sequences up to 32: BLAS and summation kernels
+    # that a tiny model never reaches
+    cfg = ModelConfig(n_layers=data.draw(st.integers(1, 2)), d_model=data.draw(st.integers(1, 160)),
+                      n_heads=data.draw(st.integers(1, 4)), d_k=data.draw(st.integers(1, 20)),
+                      d_v=data.draw(st.integers(1, 20)), d_ff=data.draw(st.integers(1, 40)),
+                      vocab_size=5, n_classes=data.draw(st.integers(1, 9)), max_seq=32)
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    if data.draw(st.booleans()):
+        w = extract_submodel(prioritize_model(w), data.draw(specs(cfg)))
+    batches = [small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 40)),
+                           seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
+               for _ in range(data.draw(st.integers(1, 3)))]
+    rows = data.draw(st.integers(1, 200))  # batches of up to 40 chunks, uneven ones included
+    cores = data.draw(st.integers(1, 3))
+    with mock.patch.object(nn, "_EVAL_ROWS", rows), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True), \
+            mock.patch.object(nn, "softmax_cross_entropy", wraps=softmax_cross_entropy) as loss:
+        got = evaluate(w, batches)
+    assert got == cached_evaluate(w, batches)
+    # the scored logits too, where an ulp that the mean loss absorbs shows
+    for call, b in zip(loss.call_args_list, batches, strict=True):
+        assert call.args[0].tobytes() == forward(w, b)[0].tobytes()
 
 
 class TestCacheFreeForward:
