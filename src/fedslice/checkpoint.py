@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .nn import ModelConfig, ModelWeights, full_shapes
-from .scaling import plan_shape, slice_plan, spec_of
+from .scaling import spec_of, submodel_shapes
 
 MAGIC = b"RFFM"
 VERSION = 1
@@ -130,8 +130,7 @@ def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
         spec.validate(cfg)
     except ValidationError as exc:
         raise FormatError(f"checkpoint widths do not fit its config: {exc}") from exc
-    for name, idx in slice_plan(spec, full).items():
-        if shapes[name] != plan_shape(full[name], idx):
-            raise FormatError(f"tensor {name!r} has shape {shapes[name]}, "
-                              f"expected {plan_shape(full[name], idx)}")
+    for name, shape in submodel_shapes(spec, full).items():
+        if shapes[name] != shape:
+            raise FormatError(f"tensor {name!r} has shape {shapes[name]}, expected {shape}")
     return ModelWeights(cfg, weights)

@@ -5,12 +5,14 @@ per participant, slice out sub-models, train them locally, then fuse: every
 global coordinate becomes the mean over the clients whose spec covers it,
 and uncovered coordinates carry over unchanged. A spec keeps leading
 channels along one axis of each tensor, so how many clients cover a
-coordinate depends only on its index along that axis: fusion keeps one
-count per index, not per coordinate. With full-width specs this reduces
-exactly to FedAvg.
+coordinate depends only on its index along that axis and on each client's
+width for that slot: fusion counts coverage per slot width, not per
+coordinate. With full-width specs this reduces exactly to FedAvg.
 
 Participants are handled one at a time: each one's sub-model is extracted
-just before it trains, so a round holds one untrained sub-model at a time.
+just before it trains, and its trained update is added into the round's
+running sums (a `Fold`) and freed before the next one is extracted, so a
+round holds one sub-model at a time. The sums are divided once, at the end.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -18,8 +20,10 @@ change any draw.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,9 +31,9 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
                      check_types)
 from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
-from .scaling import (ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
-                      param_count, plan_shape, prioritize_model, sample_submodel_spec,
-                      slice_plan)
+from .scaling import (Coverage, ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
+                      param_count, prioritize_model, sample_submodel_spec, slice_plan,
+                      submodel_shapes)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -92,8 +96,10 @@ class RoundRecord:
 
 
 def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int]:
-    """ceil(rate * n_clients) distinct ids, uniform without replacement."""
-    k = int(np.ceil(rate * n_clients))
+    """ceil(rate * n_clients) distinct ids, uniform without replacement. The
+    product is exact for the decimal the rate is written as: 0.07 of 100
+    clients is 7, where binary floating point gives 7.000000000000001."""
+    k = math.ceil(Fraction(repr(float(rate))) * n_clients)
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
@@ -112,37 +118,41 @@ def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
     return w
 
 
-def aggregate(global_w: ModelWeights,
-              updates: list[tuple[SubmodelSpec, ModelWeights]]) -> ModelWeights:
-    """Per-coordinate mean over covering clients; uncovered coordinates keep
-    the previous global value. Coverage is counted once per index of each
-    tensor's cut axis and broadcast over its other axes."""
-    cfg = global_w.config
-    shapes = {name: arr.shape for name, arr in global_w.tensors.items()}
-    sums = {name: np.zeros_like(arr) for name, arr in global_w.tensors.items()}
-    counts = {}  # name -> count per index of the cut axis, 1 along every other
+class Fold:
+    """A round's coverage average in progress: the base weights (the round's
+    prioritized global), the per-tensor sums of the updates added so far,
+    and how many of them cover each index of every cut axis."""
+
+    def __init__(self, base: ModelWeights):
+        self.base = base
+        self.shapes = {name: arr.shape for name, arr in base.tensors.items()}
+        self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
+        self.coverage = Coverage(self.shapes, base.config.n_layers, base.config.n_heads)
+
+    def merged(self) -> ModelWeights:
+        """Per-coordinate mean over the covering updates; uncovered
+        coordinates keep the base value."""
+        merged = {}
+        for name, c in self.coverage.counts().items():
+            new = self.base.tensors[name].copy()
+            np.divide(self.sums[name], c, out=new, where=c > 0)
+            merged[name] = new
+        return ModelWeights(self.base.config, merged)
+
+
+def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> None:
+    """Add each update into the fold's sums and coverage, in list order. An
+    update that does not fit the base raises before any of it is added."""
     for spec, w in updates:
-        spec.validate(cfg)
-        for name, idx in slice_plan(spec, shapes).items():
-            sub = w.tensors[name]
-            if sub.shape != plan_shape(shapes[name], idx):
-                raise AggregationError(
-                    f"update tensor {name} has shape {sub.shape}, "
-                    f"spec expects {plan_shape(shapes[name], idx)}")
-            sums[name][idx] += sub
-            if name not in counts:
-                counts[name] = np.zeros([n if axis == len(idx) - 1 else 1
-                                         for axis, n in enumerate(shapes[name])],
-                                        dtype=np.int64)
-            counts[name][idx] += 1
-    merged = {}
-    for name, garr in global_w.tensors.items():
-        new = garr.copy()
-        if name in counts:
-            c = counts[name]
-            np.divide(sums[name], c, out=new, where=c > 0)
-        merged[name] = new
-    return ModelWeights(cfg, merged)
+        spec.validate(fold.base.config)
+        plan = slice_plan(spec, fold.shapes)
+        for name, shape in submodel_shapes(spec, fold.shapes).items():
+            if w.tensors[name].shape != shape:
+                raise AggregationError(f"update tensor {name} has shape "
+                                       f"{w.tensors[name].shape}, spec expects {shape}")
+        for name, idx in plan.items():
+            fold.sums[name][idx] += w.tensors[name]
+        fold.coverage.add(spec)
 
 
 def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
@@ -158,7 +168,8 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
     model_cfg = global_w.config
-    client_specs, updates, dropped = [], [], []
+    fold = Fold(prioritized)
+    client_specs, dropped = [], []
     bytes_down = bytes_up = 0
     for cid in participants:
         profile = profiles[cid]
@@ -176,10 +187,11 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         except NumericError as exc:
             dropped.append({"client_id": cid, "reason": str(exc)})
             continue
-        updates.append((spec, trained))
+        aggregate(fold, [(spec, trained)])
+        del trained  # before the next participant's sub-model is extracted
         bytes_up += n_params * BYTES_PER_PARAM
 
-    new_global = aggregate(prioritized, updates) if updates else global_w
+    new_global = fold.merged() if len(dropped) < len(participants) else global_w
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)

@@ -11,7 +11,8 @@ matrix's rows, which preserves the full forward function exactly.
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
 channels it lays end to end along its cut axis. Prioritization, extraction,
-fusion, parameter counts and the sampler all walk a spec through it.
+shape checks, coverage counts, parameter counts and the sampler all walk a
+spec through it.
 """
 
 from __future__ import annotations
@@ -312,12 +313,47 @@ def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     return plan
 
 
-def plan_shape(shape: tuple, idx: tuple) -> tuple:
-    """The shape of ``arr[idx]`` for an array of this shape and an index
-    from slice_plan."""
-    cut = tuple(len(range(n)[i]) if isinstance(i, slice) else len(i)
-                for n, i in zip(shape, idx))
-    return cut + tuple(shape[len(idx):])
+def submodel_shapes(spec: SubmodelSpec, shapes: dict) -> dict:
+    """The shape of every tensor of the sub-model the spec selects from a
+    model with these shapes: each cut axis holds its slots' widths."""
+    keep = _flat(spec)
+    out = dict(shapes)
+    for name, axis, js in _layout(len(spec.ffn_widths), len(spec.qk_widths[0])).cuts:
+        shape = shapes[name]
+        out[name] = shape[:axis] + (sum(keep[j] for j in js),) + shape[axis + 1:]
+    return out
+
+
+class Coverage:
+    """How many specs cover each index of every cut axis of a model with
+    these shapes. A spec keeps leading channels, so an index is covered by
+    the specs whose width for its slot passes it: a histogram of the widths
+    kept in each slot holds every count, and a spec adds to it in one step."""
+
+    def __init__(self, shapes: dict, n_layers: int, n_heads: int):
+        self.shapes, self.n = shapes, 0
+        self.layout = _layout(n_layers, n_heads)
+        have = [shapes[name][axis] for name, axis in self.layout.sources]
+        # the slots' histograms laid end to end: slot j's width k at starts[j] + k - 1
+        self.starts = np.cumsum([0, *have])
+        self.kept = np.zeros(self.starts[-1], dtype=np.int64)
+
+    def add(self, spec: SubmodelSpec) -> None:
+        """Count a spec no wider than the model."""
+        self.kept[self.starts[:-1] + np.array(_flat(spec)) - 1] += 1
+        self.n += 1
+
+    def counts(self) -> dict:
+        """Per tensor, how many specs cover each index of its cut axis,
+        shaped to broadcast over its other axes; for an uncut tensor, the
+        number of specs."""
+        tail = np.append(np.cumsum(self.kept[::-1])[::-1], 0)  # tail[i] = kept[i:].sum()
+        per_slot = [tail[a:b] - tail[b] for a, b in zip(self.starts[:-1], self.starts[1:])]
+        out = dict.fromkeys(self.shapes, self.n)
+        for name, axis, js in self.layout.cuts:
+            out[name] = np.concatenate([per_slot[j] for j in js]).reshape(
+                [-1 if a == axis else 1 for a in range(len(self.shapes[name]))])
+        return out
 
 
 def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> ModelWeights:
@@ -334,5 +370,6 @@ __all__ = [
     "ResourceBudget", "SubmodelSpec",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
-    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "plan_shape", "spec_of",
+    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "submodel_shapes",
+    "Coverage", "spec_of",
 ]

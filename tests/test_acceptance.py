@@ -159,7 +159,7 @@ def _oracle_map_coord(name, idx, spec, cfg):
 
 
 def test_4_aggregation_matches_brute_force_bit_exactly():
-    from fedslice.fed import aggregate
+    from fedslice.fed import Fold, aggregate
     t0 = time.monotonic()
     cfg = AGG_CFG
     for case in range(200):
@@ -171,7 +171,9 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
             shaped = extract_submodel(init_weights(cfg, 0), spec)
             updates.append((spec, ModelWeights(
                 cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in shaped.tensors.items()})))
-        out = aggregate(g, updates)
+        fold = Fold(g)
+        aggregate(fold, updates)
+        out = fold.merged()
         for name, garr in g.tensors.items():
             for idx in np.ndindex(garr.shape):
                 vals = []

@@ -1,6 +1,6 @@
 """The benchmark's hooks still bind: perfbench/child.py runs a traced
-federation, reads its checkpoint back bit for bit, and sees a span for every
-function its tracer wraps by name."""
+federation, reads its checkpoint back bit for bit, sees a span for every
+function its tracer wraps by name, and counts every fused update."""
 
 import importlib.util
 import json
@@ -27,5 +27,10 @@ def test_traced_child_run_covers_every_span(tmp_path):
                            "--trace"], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads((out / "timing.json").read_text())["checkpoint_exact"] is True
-    traced = {span[0] for span in json.loads((out / "spans.json").read_text())}
-    assert set(load_spans().SPANS) <= traced
+    spans = json.loads((out / "spans.json").read_text())
+    assert set(load_spans().SPANS) <= {span[0] for span in spans}
+    # fed.aggregate_updates counts every update fused, one aggregate call each
+    rounds = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+    folded = sum(len(r["participants"]) - len(r["dropped"]) for r in rounds)
+    aggregates = [span[4] for span in spans if span[0] == "fed.aggregate"]
+    assert folded > 0 and sum(attrs["updates"] for attrs in aggregates) == folded

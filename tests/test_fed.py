@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedslice import fed, nn
 from fedslice.errors import AggregationError, ConfigError, ValidationError
-from fedslice.fed import (ClientProfile, FederationConfig, aggregate, local_train,
+from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
                          init_weights, sgd_step, softmax_cross_entropy)
@@ -52,6 +52,13 @@ def random_update(cfg, spec, rng):
     """Weights with the sub-model shapes the spec implies, random values."""
     sub = extract_submodel(init_weights(cfg, 0), spec)
     return ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in sub.tensors.items()})
+
+
+def fold_all(global_w, updates):
+    """The merge of one fold that adds every update in one aggregate call."""
+    fold = Fold(global_w)
+    aggregate(fold, updates)
+    return fold.merged()
 
 
 def oracle_map_coord(name, idx, spec, cfg):
@@ -118,6 +125,11 @@ class TestSelectParticipants:
         ids = select_participants(100, 0.1, RngStream(2, 0))
         assert len(ids) == 10 and len(set(ids)) == 10
         assert all(0 <= i < 100 for i in ids)
+
+    @pytest.mark.parametrize("rate, k", [(0.07, 7), (0.55, 55)])
+    def test_count_is_exact_for_the_decimal_rate(self, rate, k):
+        assert rate * 100 > k  # binary floating point rounds the product up
+        assert len(select_participants(100, rate, RngStream(3, 0))) == k
 
     def test_same_seed_same_set(self):
         a = select_participants(50, 0.3, RngStream(5, 9))
@@ -195,13 +207,13 @@ class TestAggregate:
     def test_single_full_update_replaces_global(self):
         g = init_weights(TINY, 1)
         u = init_weights(TINY, 2)
-        out = aggregate(g, [(full_spec(TINY), u)])
+        out = fold_all(g, [(full_spec(TINY), u)])
         assert all(np.array_equal(u.tensors[k], out.tensors[k]) for k in u.tensors)
 
     def test_two_full_updates_average(self):
         g = init_weights(TINY, 1)
         a, b = init_weights(TINY, 2), init_weights(TINY, 3)
-        out = aggregate(g, [(full_spec(TINY), a), (full_spec(TINY), b)])
+        out = fold_all(g, [(full_spec(TINY), a), (full_spec(TINY), b)])
         for k in g.tensors:
             assert np.array_equal(out.tensors[k], (a.tensors[k] + b.tensors[k]) / 2)
 
@@ -211,7 +223,7 @@ class TestAggregate:
         g = init_weights(cfg, 1)
         spec = SubmodelSpec(ffn_widths=(1,), qk_widths=((1,),), v_widths=((1,),))
         u = random_update(cfg, spec, RngStream(4, 0))
-        out = aggregate(g, [(spec, u)])
+        out = fold_all(g, [(spec, u)])
         assert out.tensors["layer0.w1"][0, 0] == u.tensors["layer0.w1"][0, 0]
         assert out.tensors["layer0.w1"][0, 1] == g.tensors["layer0.w1"][0, 1]
 
@@ -222,7 +234,7 @@ class TestAggregate:
             n_clients = int(rng.integers(1, 4))
             updates = [(s := random_spec(TINY, rng), random_update(TINY, s, rng))
                        for _ in range(n_clients)]
-            out = aggregate(g, updates)
+            out = fold_all(g, updates)
             expected = oracle_aggregate(g, updates)
             for k in g.tensors:
                 assert np.array_equal(out.tensors[k], expected[k]), k
@@ -235,14 +247,18 @@ class TestAggregate:
         updates = [(s, random_update(cfg, s, rng))
                    for s in data.draw(st.lists(specs(cfg), min_size=1, max_size=4))]
         g = init_weights(cfg, 1)
-        out = aggregate(g, updates)
+        out = fold_all(g, updates)
+        one_at_a_time = Fold(g)
+        for update in updates:
+            aggregate(one_at_a_time, [update])
         expected = oracle_aggregate(g, updates)
         for k in g.tensors:
             assert out.tensors[k].tobytes() == expected[k].tobytes(), k
+            assert one_at_a_time.merged().tensors[k].tobytes() == expected[k].tobytes(), k
 
     def test_no_updates_keep_global(self):
         g = init_weights(TINY, 1)
-        out = aggregate(g, [])
+        out = fold_all(g, [])
         assert out.tensors.keys() == g.tensors.keys()
         assert all(out.tensors[k].tobytes() == g.tensors[k].tobytes() for k in g.tensors)
 
@@ -251,7 +267,20 @@ class TestAggregate:
         bad = init_weights(TINY, 2)
         bad.tensors["cls.w"] = np.zeros((1, 1))
         with pytest.raises(AggregationError):
-            aggregate(g, [(full_spec(TINY), bad)])
+            fold_all(g, [(full_spec(TINY), bad)])
+
+    def test_rejected_update_leaves_the_fold_untouched(self):
+        g = init_weights(TINY, 1)
+        good = [(full_spec(TINY), init_weights(TINY, 2)), (full_spec(TINY), init_weights(TINY, 3))]
+        bad = init_weights(TINY, 4)
+        bad.tensors["cls.b"] = np.zeros(TINY.n_classes + 1)  # the last tensor checked
+        fold = Fold(g)
+        aggregate(fold, good[:1])
+        with pytest.raises(AggregationError):
+            aggregate(fold, [(full_spec(TINY), bad)])
+        aggregate(fold, good[1:])
+        out, expected = fold.merged(), fold_all(g, good)
+        assert all(out.tensors[k].tobytes() == expected.tensors[k].tobytes() for k in g.tensors)
 
 
 def fed_cfg(**kw):
@@ -358,6 +387,40 @@ class TestRounds:
         for cid, cs in zip(rec.participants, rec.client_specs):
             expected += [("extract", cs["spec"]), ("train", cid), ("trained", cid)]
         assert events == expected
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython keeps call arguments on the caller's stack")
+    def test_each_update_is_folded_and_freed_before_the_next_extraction(self, monkeypatch):
+        refs, alive, calls = [], [], []
+        real_extract, real_train, real_aggregate = (fed.extract_submodel, fed.local_train,
+                                                    fed.aggregate)
+
+        def extract(w, spec):
+            alive.append([ref() is not None for ref in refs])
+            return real_extract(w, spec)
+
+        def train(w, profile):
+            trained = real_train(w, profile)
+            refs.append(weakref.ref(trained))
+            return trained
+
+        def fold(into, updates):
+            calls.append(len(updates))
+            return real_aggregate(into, updates)
+
+        monkeypatch.setattr(fed, "extract_submodel", extract)
+        monkeypatch.setattr(fed, "local_train", train)
+        monkeypatch.setattr(fed, "aggregate", fold)
+        profiles = make_profiles(TINY, 4)
+        profiles[1] = ClientProfile(client_id=1, budget=profiles[1].budget,
+                                    shard=profiles[1].shard, local_epochs=2, lr=1e300)
+        cfg = fed_cfg(ratio_set=(0.5, 0.75, 1.0), rounds=1)
+        with np.errstate(all="ignore"):
+            _, rec = run_round(init_weights(TINY, cfg.master_seed), 0, profiles, cfg)
+        assert [d["client_id"] for d in rec.dropped] == [1]
+        assert calls == [1, 1, 1]
+        assert alive == [[], [False], [False], [False, False]]
+        assert all(ref() is None for ref in refs)
 
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice.errors import ShapeError
-from fedslice.fed import aggregate
+from fedslice.fed import Fold, aggregate
 from fedslice.nn import ModelConfig, ModelWeights, full_shapes, init_weights
 from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
                               extract_submodel, full_spec, joint_qk_salience, min_spec,
-                              param_count, plan_shape, prioritize_model, rank_channels,
-                              salience_l1, sample_submodel_spec, slice_plan, spec_of)
+                              param_count, prioritize_model, rank_channels, salience_l1,
+                              sample_submodel_spec, slice_plan, spec_of, submodel_shapes)
 from fedslice.tensor import RngStream
 
 
@@ -53,9 +53,12 @@ def test_count_extract_and_coverage_agree(data):
     # a NaN global: exactly the coordinates the update covers become finite
     nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan)
                                     for k, v in prioritized.tensors.items()})
-    merged = aggregate(nan_global, [(spec, sub)])
+    fold = Fold(nan_global)
+    aggregate(fold, [(spec, sub)])
+    merged = fold.merged()
     covered = sum(int(np.isfinite(v).sum()) for v in merged.tensors.values())
     assert param_count(spec, cfg) == sub.param_total() == covered
+    assert submodel_shapes(spec, full_shapes(cfg)) == {k: v.shape for k, v in sub.tensors.items()}
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,7 +221,8 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
     full = full_shapes(cfg)
     outer = data.draw(specs(cfg))
     inner = data.draw(specs(cfg, within=outer))
-    narrow = {name: plan_shape(full[name], idx)
+    narrow = {name: tuple(len(range(n)[i]) if isinstance(i, slice) else len(i)
+                          for n, i in zip(full[name], idx)) + full[name][len(idx):]
               for name, idx in reference_plan(outer, full).items()}
     for spec, shapes in [(outer, full), (inner, full), (inner, narrow)]:
         got, want = slice_plan(spec, shapes), reference_plan(spec, shapes)
