@@ -110,7 +110,10 @@ def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
             or np.any(vals < 1) or np.any(vals != np.floor(vals)):
         raise FormatError(f"checkpoint needs a {_CONFIG_TENSOR} tensor of "
                           f"{len(_CONFIG_FIELDS)} integers >= 1")
-    cfg = ModelConfig(**{f: int(v) for f, v in zip(_CONFIG_FIELDS, vals)})
+    try:
+        cfg = ModelConfig(**{f: int(v) for f, v in zip(_CONFIG_FIELDS, vals)})
+    except ValidationError as exc:
+        raise FormatError(f"checkpoint {_CONFIG_TENSOR} is not a model config: {exc}") from exc
     weights = {k: v for k, v in tensors.items() if k != _CONFIG_TENSOR}
     # every head owns a tensor, so this bounds the enumeration of names
     if cfg.n_layers * cfg.n_heads > len(weights):

@@ -100,9 +100,9 @@ def _cmd_verify(args) -> int:
         rng = RngStream(args.seed, 60_000 + trial)
         batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 6))),
                       labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
-        base, _ = forward(w, batch, keep_cache=False)
+        base, _ = forward(w, batch)
         wp = prioritize_model(w)
-        after, _ = forward(wp, batch, keep_cache=False)
+        after, _ = forward(wp, batch)
         rel = np.abs(base - after) / np.maximum(1.0, np.maximum(np.abs(base), np.abs(after)))
         diff = float(rel.max())
         if diff > 1e-9:

@@ -9,28 +9,16 @@ rejected, so typos fail fast instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
-
-import numpy as np
+from dataclasses import MISSING, dataclass, field, fields
 
 from .data import PartitionSpec, TaskSpec
 from .errors import ConfigError, ValidationError, check_types
 from .fed import FederationConfig
-from .nn import ModelConfig
+from .nn import _MAX_VALUES, ModelConfig
 
 # the required sections, each a RunConfig field; `spp` and `clients` are optional
 _SECTIONS = ("model", "federation", "task", "partition")
 _TASK_LIMITS = {"vocab_size": "vocab_size", "n_classes": "n_classes", "seq_len": "max_seq"}
-# numpy indexes an array's bytes with intp, and a model or token value takes 8
-_MAX_VALUES = np.iinfo(np.intp).max // 8
-
-
-def _model_values(m: ModelConfig) -> int:
-    """How many values the tensors of nn.full_shapes(m) hold, from the dims."""
-    d = m.d_model
-    head = 2 * (d + 1) * m.d_k + (d + 1) * m.d_v + m.d_v * d  # wq, bq, wk, bk, wv, bv, wo rows
-    layer = 6 * d + m.n_heads * head + (2 * d + 1) * m.d_ff
-    return m.vocab_size * d + m.n_layers * layer + (d + 1) * m.n_classes
 
 
 @dataclass
@@ -60,17 +48,13 @@ class RunConfig:
             if getattr(self.task, key) > getattr(self.model, limit):
                 raise ConfigError(f"task.{key} = {getattr(self.task, key)} exceeds "
                                   f"model.{limit} = {getattr(self.model, limit)}")
-        # max_seq sizes no tensor
-        model_dims = {k: v for k, v in asdict(self.model).items() if k != "max_seq"}
-        task_dims = {"n_samples": self.task.n_samples, "seq_len": self.task.seq_len}
-        for section, n_values, dims in (("model", _model_values(self.model), model_dims),
-                                        ("task", self.task.n_samples * self.task.seq_len,
-                                         task_dims)):
-            if n_values > _MAX_VALUES:  # numpy would fail with a ValueError, not OOM
-                key = max(dims, key=dims.get)
-                raise ConfigError(f"{section}.{key} = {dims[key]} is too large: the "
-                                  f"{section}'s arrays would hold {n_values} values, "
-                                  f"more than numpy can index ({_MAX_VALUES})")
+        n_values = self.task.n_samples * self.task.seq_len  # ModelConfig checks the model's
+        if n_values > _MAX_VALUES:  # numpy would fail with a ValueError, not OOM
+            dims = {"n_samples": self.task.n_samples, "seq_len": self.task.seq_len}
+            key = max(dims, key=dims.get)
+            raise ConfigError(f"task.{key} = {dims[key]} is too large: the task's arrays "
+                              f"would hold {n_values} values, more than numpy can index "
+                              f"({_MAX_VALUES})")
 
 
 def _section(doc: dict, name: str, cls, keep=lambda f: True) -> dict:

@@ -6,8 +6,9 @@ global coordinate becomes the mean over the clients whose spec covers it,
 and uncovered coordinates carry over unchanged. A spec keeps leading
 channels along one axis of each tensor, so how many clients cover a
 coordinate depends only on its index along that axis and on each client's
-width for that slot: fusion counts coverage per slot width, not per
-coordinate. With full-width specs this reduces exactly to FedAvg.
+width for that slot. So fusion keeps only the specs, and counts coverage
+from them once, at the end of the round (`scaling.coverage`). With
+full-width specs this reduces exactly to FedAvg.
 
 Participants are handled one at a time: each one's sub-model is extracted
 just before it trains, and its trained update is added into the round's
@@ -31,7 +32,7 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
                      check_types)
 from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
-from .scaling import (Coverage, ResourceBudget, SubmodelSpec, extract_submodel, min_spec,
+from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
                       submodel_shapes)
 from .tensor import RngStream
@@ -121,19 +122,20 @@ def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
     prioritized global), the per-tensor sums of the updates added so far,
-    and how many of them cover each index of every cut axis."""
+    and their specs."""
 
     def __init__(self, base: ModelWeights):
         self.base = base
         self.shapes = {name: arr.shape for name, arr in base.tensors.items()}
         self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
-        self.coverage = Coverage(self.shapes, base.config.n_layers, base.config.n_heads)
+        self.specs = []
 
     def merged(self) -> ModelWeights:
         """Per-coordinate mean over the covering updates; uncovered
         coordinates keep the base value."""
+        cfg = self.base.config
         merged = {}
-        for name, c in self.coverage.counts().items():
+        for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
             new = self.base.tensors[name].copy()
             np.divide(self.sums[name], c, out=new, where=c > 0)
             merged[name] = new
@@ -141,7 +143,7 @@ class Fold:
 
 
 def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> None:
-    """Add each update into the fold's sums and coverage, in list order. An
+    """Add each update into the fold's sums and specs, in list order. An
     update that does not fit the base raises before any of it is added."""
     for spec, w in updates:
         spec.validate(fold.base.config)
@@ -152,7 +154,7 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
                                        f"{w.tensors[name].shape}, spec expects {shape}")
         for name, idx in plan.items():
             fold.sums[name][idx] += w.tensors[name]
-        fold.coverage.add(spec)
+        fold.specs.append(spec)
 
 
 def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
@@ -191,7 +193,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         del trained  # before the next participant's sub-model is extracted
         bytes_up += n_params * BYTES_PER_PARAM
 
-    new_global = fold.merged() if len(dropped) < len(participants) else global_w
+    new_global = fold.merged() if fold.specs else global_w
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)

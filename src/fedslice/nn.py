@@ -43,6 +43,14 @@ class ModelConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ValidationError(f"ModelConfig.{f.name} must be >= 1")
+        n_values = _model_values(self)
+        if n_values > _MAX_VALUES:  # numpy would fail with a ValueError, not OOM
+            dims = {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name != "max_seq"}  # max_seq sizes no tensor
+            key = max(dims, key=dims.get)
+            raise ValidationError(f"model.{key} = {dims[key]} is too large: the model's "
+                                  f"arrays would hold {n_values} values, more than numpy "
+                                  f"can index ({_MAX_VALUES})")
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,18 @@ def full_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["cls.w"] = (d, cfg.n_classes)
     shapes["cls.b"] = (cfg.n_classes,)
     return shapes
+
+
+# numpy indexes an array's bytes with intp, and a model or token value takes 8
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
+def _model_values(m: ModelConfig) -> int:
+    """How many values the tensors of full_shapes(m) hold, from the dims."""
+    d = m.d_model
+    head = 2 * (d + 1) * m.d_k + (d + 1) * m.d_v + m.d_v * d  # wq, bq, wk, bk, wv, bv, wo rows
+    layer = 6 * d + m.n_heads * head + (2 * d + 1) * m.d_ff
+    return m.vocab_size * d + m.n_layers * layer + (d + 1) * m.n_classes
 
 
 class ModelWeights:
@@ -237,16 +257,11 @@ def _pool(w: ModelWeights, tokens: np.ndarray, layer_caches: list) -> np.ndarray
     return x.mean(axis=1)
 
 
-def forward(w: ModelWeights, batch: Batch,
-            keep_cache: bool = True) -> tuple[np.ndarray, ForwardCache | None]:
-    """Logits for the batch and the cache `backward` needs. With
-    keep_cache=False each layer's activations are freed when it returns, and the
-    cache is None; the logits are the same bit for bit."""
-    layer_caches = [_LayerCache() if keep_cache else None for _ in range(w.config.n_layers)]
+def forward(w: ModelWeights, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
+    """Logits for the batch and the cache `backward` needs."""
+    layer_caches = [_LayerCache() for _ in range(w.config.n_layers)]
     pooled = _pool(w, batch.tokens, layer_caches)
     logits = pooled @ w["cls.w"] + w["cls.b"]
-    if not keep_cache:
-        return logits, None
     return logits, ForwardCache(weights=w, batch=batch, layers=layer_caches, pooled=pooled)
 
 
@@ -263,7 +278,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(loss), probs / n
 
 
-def backward(cache: ForwardCache | None, dlogits: np.ndarray) -> dict:
+def backward(cache: ForwardCache, dlogits: np.ndarray) -> dict:
     """d(loss)/d(tensor) for every tensor of the cached forward's weights, in
     tensor order, from d(loss)/d(logits) of that forward's batch.
 
@@ -275,8 +290,6 @@ def backward(cache: ForwardCache | None, dlogits: np.ndarray) -> dict:
       numpy's contiguous pairwise path, which one sum over the concatenation
       would not.
     """
-    if cache is None:
-        raise ValidationError("backward needs the cache of forward(..., keep_cache=True)")
     w = cache.weights
     cfg = w.config
     if dlogits.shape != (len(cache.batch), cfg.n_classes):
@@ -361,9 +374,7 @@ def _eval_chunks(tokens: np.ndarray) -> list[np.ndarray]:
     runs of about _EVAL_ROWS token positions each; a matrix of at most
     _EVAL_ROWS positions stays whole."""
     n, seq_len = tokens.shape
-    k = max(1, min(n, -(-n * seq_len // _EVAL_ROWS)))
-    bounds = [n * j // k for j in range(k + 1)]
-    return [tokens[s:e] for s, e in zip(bounds, bounds[1:])]
+    return np.array_split(tokens, max(1, min(n, -(-n * seq_len // _EVAL_ROWS))))
 
 
 def _map_threads(fn, items: list) -> list:

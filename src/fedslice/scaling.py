@@ -11,8 +11,8 @@ matrix's rows, which preserves the full forward function exactly.
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
 channels it lays end to end along its cut axis. Prioritization, extraction,
-shape checks, coverage counts, parameter counts and the sampler all walk a
-spec through it.
+shape checks, the coverage counts of a round's specs, parameter counts and
+the sampler all walk a spec through it.
 """
 
 from __future__ import annotations
@@ -247,13 +247,12 @@ def min_spec(cfg: ModelConfig, ratio_set) -> SubmodelSpec:
 def _draw_table(cfg: ModelConfig, ratios: tuple) -> tuple:
     """(fixed, widths, costs) for the sampler: widths[r, j] is slot j's full
     width scaled by ratios[r], and costs[r, j] its parameter cost, so a
-    draw's count is fixed + the sum of its picks' costs. The tables hold
-    Python ints when the full model's count overflows int64."""
-    full = full_spec(cfg)
+    draw's count is fixed + the sum of its picks' costs (ModelConfig keeps
+    every model's count within int64)."""
     fixed, unit = _param_costs(cfg)
-    dtype = np.int64 if param_count(full, cfg) <= np.iinfo(np.int64).max else object
-    widths = np.array([[_scaled_width(r, m) for m in _flat(full)] for r in ratios], dtype=dtype)
-    return fixed, widths, widths * np.array(unit, dtype=dtype)
+    widths = np.array([[_scaled_width(r, m) for m in _flat(full_spec(cfg))] for r in ratios],
+                      dtype=np.int64)
+    return fixed, widths, widths * np.array(unit, dtype=np.int64)
 
 
 def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
@@ -324,36 +323,22 @@ def submodel_shapes(spec: SubmodelSpec, shapes: dict) -> dict:
     return out
 
 
-class Coverage:
-    """How many specs cover each index of every cut axis of a model with
-    these shapes. A spec keeps leading channels, so an index is covered by
-    the specs whose width for its slot passes it: a histogram of the widths
-    kept in each slot holds every count, and a spec adds to it in one step."""
-
-    def __init__(self, shapes: dict, n_layers: int, n_heads: int):
-        self.shapes, self.n = shapes, 0
-        self.layout = _layout(n_layers, n_heads)
-        have = [shapes[name][axis] for name, axis in self.layout.sources]
-        # the slots' histograms laid end to end: slot j's width k at starts[j] + k - 1
-        self.starts = np.cumsum([0, *have])
-        self.kept = np.zeros(self.starts[-1], dtype=np.int64)
-
-    def add(self, spec: SubmodelSpec) -> None:
-        """Count a spec no wider than the model."""
-        self.kept[self.starts[:-1] + np.array(_flat(spec)) - 1] += 1
-        self.n += 1
-
-    def counts(self) -> dict:
-        """Per tensor, how many specs cover each index of its cut axis,
-        shaped to broadcast over its other axes; for an uncut tensor, the
-        number of specs."""
-        tail = np.append(np.cumsum(self.kept[::-1])[::-1], 0)  # tail[i] = kept[i:].sum()
-        per_slot = [tail[a:b] - tail[b] for a, b in zip(self.starts[:-1], self.starts[1:])]
-        out = dict.fromkeys(self.shapes, self.n)
-        for name, axis, js in self.layout.cuts:
-            out[name] = np.concatenate([per_slot[j] for j in js]).reshape(
-                [-1 if a == axis else 1 for a in range(len(self.shapes[name]))])
-        return out
+def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
+    """Per tensor of a model with these shapes, how many of the specs (none
+    wider than it) cover each index of its cut axis, shaped to broadcast
+    over its other axes; for an uncut tensor, the number of specs. A spec
+    keeps leading channels, so index i of slot j is covered by the specs
+    whose width for slot j is greater than i."""
+    layout = _layout(n_layers, n_heads)
+    kept = np.array([_flat(spec) for spec in specs], dtype=np.int64).reshape(
+        len(specs), len(layout.slots))
+    per_slot = [(kept[:, j, None] > np.arange(shapes[name][axis])).sum(axis=0)
+                for j, (name, axis) in enumerate(layout.sources)]
+    out = dict.fromkeys(shapes, len(specs))
+    for name, axis, js in layout.cuts:
+        out[name] = np.concatenate([per_slot[j] for j in js]).reshape(
+            [-1 if a == axis else 1 for a in range(len(shapes[name]))])
+    return out
 
 
 def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> ModelWeights:
@@ -371,5 +356,5 @@ __all__ = [
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
     "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "submodel_shapes",
-    "Coverage", "spec_of",
+    "coverage", "spec_of",
 ]

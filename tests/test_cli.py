@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from fedslice import cli
 from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
                                  write_checkpoint)
-from fedslice.config import _model_values, parse_run_config
+from fedslice.config import parse_run_config
 from fedslice.errors import ConfigError, FormatError
-from fedslice.nn import ModelConfig, full_shapes, init_weights
+from fedslice.nn import ModelConfig, _model_values, full_shapes, init_weights
 from fedslice.scaling import param_count, uniform_spec
 from test_slice_plan import configs
 
@@ -459,9 +459,11 @@ class TestCmdExtractInspect:
         lambda t: t["__config__"].__setitem__(0, 0.0),
         lambda t: t.update(__config__=np.ones(3)),
         lambda t: t["__config__"].__setitem__(0, 1e12),
+        lambda t: t["__config__"].__setitem__(5, 2.0 ** 62),  # d_ff
     ], ids=["missing-tensor", "extra-tensor", "wq-wrong-d_model", "wrong-rank",
             "ffn-wider-than-config", "qk-widths-disagree", "wo-rows-disagree",
-            "config-not-integer", "config-zero", "config-short", "config-huge"])
+            "config-not-integer", "config-zero", "config-short", "config-huge",
+            "config-too-large"])
     def test_malformed_checkpoint_exits_1(self, tmp_path, capsys, corrupt):
         tensors = model_to_tensors(init_weights(ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8), 1))
         corrupt(tensors)

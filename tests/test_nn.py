@@ -111,7 +111,7 @@ class TestForward:
     def test_empty_batch(self):
         w = init_weights(SMALL, 7)
         empty = Batch(tokens=np.zeros((0, 5), dtype=np.intp), labels=np.zeros(0, dtype=np.intp))
-        logits, _ = forward(w, empty, keep_cache=False)
+        logits, _ = forward(w, empty)
         assert logits.shape == (0, SMALL.n_classes)
 
     def test_invalid_token_rejected(self):
@@ -178,14 +178,6 @@ class TestBackward:
         grads = backward(*forward_dlogits(w, batch))
         assert list(grads) == list(w.tensors)
         assert all(grads[k].shape == v.shape for k, v in w.tensors.items())
-
-    def test_cache_free_result_rejected(self):
-        w = init_weights(SMALL, 5)
-        batch = small_batch(3)
-        logits, cache = forward(w, batch, keep_cache=False)
-        assert cache is None
-        with pytest.raises(ValidationError):
-            backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
 
     def test_mismatched_cache_rejected(self):
         cache, dlogits = forward_dlogits(init_weights(SMALL, 5), small_batch(3))
@@ -466,14 +458,6 @@ def test_chunked_evaluate_bit_equal_to_cached_evaluate(data):
 
 
 class TestCacheFreeForward:
-    @pytest.mark.parametrize("name", ["small", "deep-submodel"])
-    def test_logits_bit_equal_to_cached_forward(self, name):
-        w = cache_test_models()[name]
-        batch = small_batch(6, n=7, seq=5, cfg=w.config)
-        cached, _ = forward(w, batch)
-        free, _ = forward(w, batch, keep_cache=False)
-        assert cached.tobytes() == free.tobytes()
-
     @pytest.mark.parametrize("name", ["small", "deep-submodel"])
     def test_evaluate_bit_equal_to_cached_evaluation(self, name):
         w = cache_test_models()[name]
