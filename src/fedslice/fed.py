@@ -14,6 +14,9 @@ Participants are handled one at a time: each one's sub-model is extracted
 just before it trains, and its trained update is added into the round's
 running sums (a `Fold`) and freed before the next one is extracted, so a
 round holds one sub-model at a time. The sums are divided once, at the end.
+A client trains a copy of its sub-model laid out in one vector (`nn.Flat`),
+with a second vector of the same layout for the gradients: every step
+writes its gradients into the one and updates the other in place.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import (AggregationError, ConfigError, NumericError, ValidationError,
                      check_types)
-from .nn import (Batch, ModelConfig, ModelWeights, backward, evaluate, forward,
+from .nn import (Batch, Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
@@ -105,17 +108,27 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
 
 
 def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
-    """local_epochs full passes of SGD over the shard, fixed batch order.
-    Unless the caller keeps a reference, `w` is freed after the first step."""
+    """local_epochs full passes of SGD over the shard, fixed batch order, on
+    a copy of `w` laid out in one vector (`nn.Flat`). `w` is left as it is,
+    and freed once copied unless the caller keeps a reference. Each step's
+    backward writes its gradients into a second vector of the same layout,
+    and the SGD step updates the copy in place; both vectors are reused by
+    every step."""
+    shapes = {name: arr.shape for name, arr in w.tensors.items()}
+    params = Flat(shapes)
+    for name, arr in w.tensors.items():
+        np.copyto(params.tensors[name], arr)
+    w = ModelWeights(w.config, params.tensors)  # drops this frame's hold on the input
+    grads = Flat(shapes)  # after the input is freed, so the two never coexist
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
             logits, cache = forward(w, batch)
             loss, dlogits = softmax_cross_entropy(logits, batch.labels)
             if not np.isfinite(loss):
                 raise NumericError(f"client {profile.client_id}: non-finite loss")
-            grads = backward(cache, dlogits)
-            del cache  # it holds the activations and the pre-step weights
-            w = sgd_step(w, grads, profile.lr)
+            backward(cache, dlogits, grads.tensors)
+            del cache  # its activations, before the next forward makes new ones
+            sgd_step(params, grads, profile.lr)
     return w
 
 

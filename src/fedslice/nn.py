@@ -12,6 +12,7 @@ the arrays, which is what makes extracted sub-models runnable as-is.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass, field, fields
@@ -132,6 +133,20 @@ class ModelWeights:
 
     def ffn_width(self, layer: int) -> int:
         return self.tensors[f"layer{layer}.w1"].shape[1]
+
+
+class Flat:
+    """Tensors laid end to end, in order, in one float64 vector: `tensors`
+    maps each name to a view of its run of `vector`, with its shape. The
+    values start uninitialised."""
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.vector = np.empty(sum(sizes))
+        self.tensors, end = {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self.tensors[name] = self.vector[end:end + size].reshape(shape)
+            end += size
 
 
 def init_weights(cfg: ModelConfig, seed: int) -> ModelWeights:
@@ -278,9 +293,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     return float(loss), probs / n
 
 
-def backward(cache: ForwardCache, dlogits: np.ndarray) -> dict:
+def backward(cache: ForwardCache, dlogits: np.ndarray,
+             grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """d(loss)/d(tensor) for every tensor of the cached forward's weights, in
     tensor order, from d(loss)/d(logits) of that forward's batch.
+
+    Each gradient is written into its array in `grads`, which must have the
+    weights' names and shapes (a `Flat`'s tensors, say); every value there
+    is overwritten. With `grads` None a new `Flat`'s tensors are filled.
 
     A layer's wq/wk/wv gradients are column slices of one einsum over every
     head's concatenated d(a1 @ w), bit for bit the per-tensor einsums:
@@ -295,10 +315,11 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> dict:
     if dlogits.shape != (len(cache.batch), cfg.n_classes):
         raise ValidationError(f"dlogits has shape {dlogits.shape}, the cached logits "
                               f"{(len(cache.batch), cfg.n_classes)}")
+    if grads is None:
+        grads = Flat({name: arr.shape for name, arr in w.tensors.items()}).tensors
 
-    grads = dict.fromkeys(w.tensors)  # fixes the key order; every value is set below
-    grads["cls.w"] = cache.pooled.T @ dlogits
-    grads["cls.b"] = dlogits.sum(axis=0)
+    np.matmul(cache.pooled.T, dlogits, out=grads["cls.w"])
+    dlogits.sum(axis=0, out=grads["cls.b"])
     dpooled = dlogits @ w["cls.w"].T
 
     seq_len = cache.batch.tokens.shape[1]
@@ -307,21 +328,21 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> dict:
     for i in reversed(range(cfg.n_layers)):
         lc = cache.layers[i]
         # FFN block: x_out = x2 + relu(a2 w1 + b1) w2 + b2
-        grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
-        grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
+        dx.sum(axis=(0, 1), out=grads[f"layer{i}.b2"])
+        np.einsum("blf,bld->fd", lc.relu, dx, out=grads[f"layer{i}.w2"])
         drelu = dx @ w[f"layer{i}.w2"].T
         dh1 = drelu * (lc.relu > 0)  # relu(h1) > 0 exactly where h1 > 0
-        grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", lc.a2, dh1)
-        grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
+        np.einsum("bld,blf->df", lc.a2, dh1, out=grads[f"layer{i}.w1"])
+        dh1.sum(axis=(0, 1), out=grads[f"layer{i}.b1"])
         da2 = dh1 @ w[f"layer{i}.w1"].T
         dx2_ln, dsc2, dsh2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], lc.ln2)
-        grads[f"layer{i}.ln2.scale"] = dsc2
-        grads[f"layer{i}.ln2.shift"] = dsh2
+        np.copyto(grads[f"layer{i}.ln2.scale"], dsc2)
+        np.copyto(grads[f"layer{i}.ln2.shift"], dsh2)
         dx2 = dx + dx2_ln
 
         # attention block: x2 = x_in + o_cat wo + bo
-        grads[f"layer{i}.bo"] = dx2.sum(axis=(0, 1))
-        grads[f"layer{i}.wo"] = np.einsum("blc,bld->cd", lc.o_cat, dx2)
+        dx2.sum(axis=(0, 1), out=grads[f"layer{i}.bo"])
+        np.einsum("blc,bld->cd", lc.o_cat, dx2, out=grads[f"layer{i}.wo"])
         do_cat = dx2 @ w[f"layer{i}.wo"].T
 
         da1 = np.zeros_like(lc.a1)
@@ -340,33 +361,37 @@ def backward(cache: ForwardCache, dlogits: np.ndarray) -> dict:
             dq = dscores @ lc.k[h]
             dk = dscores.transpose(0, 2, 1) @ lc.q[h]
             d_proj.update({f"{p}.wq": dq, f"{p}.wk": dk, f"{p}.wv": dv})
-            grads[f"{p}.bq"] = dq.sum(axis=(0, 1))
-            grads[f"{p}.bk"] = dk.sum(axis=(0, 1))
-            grads[f"{p}.bv"] = dv.sum(axis=(0, 1))
+            dq.sum(axis=(0, 1), out=grads[f"{p}.bq"])
+            dk.sum(axis=(0, 1), out=grads[f"{p}.bk"])
+            dv.sum(axis=(0, 1), out=grads[f"{p}.bv"])
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
 
         d_cat = np.einsum("bld,blk->dk", lc.a1, np.concatenate(list(d_proj.values()), axis=-1))
         end = 0
         for name, d in d_proj.items():
-            grads[name] = d_cat[:, end:end + d.shape[-1]]
+            np.copyto(grads[name], d_cat[:, end:end + d.shape[-1]])
             end += d.shape[-1]
 
         dx_ln, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
-        grads[f"layer{i}.ln1.scale"] = dsc1
-        grads[f"layer{i}.ln1.shift"] = dsh1
+        np.copyto(grads[f"layer{i}.ln1.scale"], dsc1)
+        np.copyto(grads[f"layer{i}.ln1.shift"], dsh1)
         dx = dx2 + dx_ln
 
-    grads["embed"] = np.zeros_like(w["embed"])
+    grads["embed"].fill(0.0)
     np.add.at(grads["embed"], cache.batch.tokens, dx)
     return grads
 
 
-def sgd_step(w: ModelWeights, g: dict[str, np.ndarray], lr: float) -> ModelWeights:
-    for name, grad in g.items():
-        if not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient in {name}; step refused")
-    return ModelWeights(w.config, {name: arr - lr * g[name]
-                                   for name, arr in w.tensors.items()})
+def sgd_step(params: Flat, grads: Flat, lr: float) -> None:
+    """params -= lr * grads in place, bit for bit `w - lr * g` on every
+    tensor; `grads` is left holding lr * grads. A non-finite gradient
+    refuses the step, naming the first such tensor in order, and leaves
+    both untouched."""
+    if not np.isfinite(grads.vector).all():
+        name = next(name for name, g in grads.tensors.items() if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient in {name}; step refused")
+    grads.vector *= lr
+    params.vector -= grads.vector
 
 
 def _eval_chunks(tokens: np.ndarray) -> list[np.ndarray]:

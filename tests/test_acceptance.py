@@ -16,8 +16,7 @@ from fedslice.errors import FormatError
 from fedslice.fed import (STREAM_SELECT, ClientProfile, FederationConfig,
                           run_federation)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
-                         backward, forward, init_weights, sgd_step,
-                         softmax_cross_entropy)
+                         backward, forward, init_weights, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model,
                               uniform_spec, verify_theorem1)
@@ -214,7 +213,7 @@ def test_5_homogeneous_reduction_to_fedavg():
                                permute_qk=False, permute_vo=False, permute_ffn=False)
     final, _ = run_federation(fed_cfg, model_cfg, profiles)
 
-    # reference FedAvg: independent orchestration over the same primitives
+    # reference FedAvg: independent orchestration and SGD over the same forward/backward
     w = init_weights(model_cfg, fed_cfg.master_seed)
     for t in range(fed_cfg.rounds):
         rng = RngStream(fed_cfg.master_seed, STREAM_SELECT + t)
@@ -229,7 +228,9 @@ def test_5_homogeneous_reduction_to_fedavg():
                 for batch in p.shard:
                     logits, cache = forward(local, batch)
                     _, dlogits = softmax_cross_entropy(logits, batch.labels)
-                    local = sgd_step(local, backward(cache, dlogits), p.lr)
+                    g = backward(cache, dlogits)
+                    local = ModelWeights(model_cfg, {k: a - p.lr * g[k]
+                                                     for k, a in local.tensors.items()})
             trained.append(local)
         merged = {}
         for name, arr in w.tensors.items():
@@ -335,7 +336,8 @@ def test_8_salience_beats_random_permutation_slicing():
             batch = Batch(tokens=toks, labels=label_tokens(toks, task))
             logits, cache = forward(w, batch)
             _, dlogits = softmax_cross_entropy(logits, batch.labels)
-            w = sgd_step(w, backward(cache, dlogits), 0.3)
+            g = backward(cache, dlogits)
+            w = ModelWeights(cfg, {k: a - 0.3 * g[k] for k, a in w.tensors.items()})
         toks = np.asarray(rng.integers(0, 6, (32, 7)))
         probe = Batch(tokens=toks, labels=label_tokens(toks, task))
         full_logits, _ = forward(w, probe)

@@ -1,6 +1,6 @@
 import sys
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from fedslice.errors import AggregationError, ConfigError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
-                         init_weights, sgd_step, softmax_cross_entropy)
+                         init_weights, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model)
 from fedslice.tensor import RngStream
@@ -158,9 +158,8 @@ class TestLocalTrain:
         out = local_train(w, p)
         logits, cache = forward(w, batch)
         _, dlogits = softmax_cross_entropy(logits, batch.labels)
-        expected = sgd_step(w, backward(cache, dlogits), 0.2)
-        assert all(np.array_equal(expected.tensors[k], out.tensors[k])
-                   for k in w.tensors)
+        g = backward(cache, dlogits)
+        assert all(np.array_equal(a - 0.2 * g[k], out.tensors[k]) for k, a in w.tensors.items())
 
     def test_one_loss_call_per_step(self, monkeypatch):
         calls = []
@@ -195,12 +194,54 @@ class TestLocalTrain:
 
         monkeypatch.setattr(fed, "forward", spy_forward)
         local_train(fresh_weights(), p)
-        assert alive == [True, False, False, False]
+        assert alive == [False, False, False, False]  # freed once copied, before any step
+
+    def test_non_finite_gradient_drops_the_client_naming_the_tensor(self, monkeypatch):
+        names = list(nn.full_shapes(TINY))
+        middle = names[len(names) // 2]
+        real_backward = fed.backward
+
+        def poisoned(cache, dlogits, grads):
+            real_backward(cache, dlogits, grads)
+            grads[middle].flat[0] = np.inf
+            return grads
+
+        monkeypatch.setattr(fed, "backward", poisoned)
+        cfg = fed_cfg(rounds=1)
+        w0 = init_weights(TINY, cfg.master_seed)
+        new, rec = run_round(w0, 0, make_profiles(TINY, 4), cfg)
+        reason = f"non-finite gradient in {middle}; step refused"
+        assert rec.dropped == [{"client_id": c, "reason": reason} for c in rec.participants]
+        assert new is w0
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValidationError):
             ClientProfile(client_id=0, budget=ResourceBudget(1), shard=[],
                           local_epochs=1, lr=0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_local_train_bit_equal_to_out_of_place_sgd(data):
+    cfg = replace(data.draw(configs()), max_seq=3)
+    w = extract_submodel(prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99)))),
+                         data.draw(specs(cfg)))
+    shard = [tiny_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 5)), cfg=cfg)
+             for _ in range(data.draw(st.integers(1, 3)))]
+    epochs, lr = data.draw(st.integers(1, 2)), data.draw(st.floats(0.0, 1.0))
+    before = {k: v.tobytes() for k, v in w.tensors.items()}
+    got = local_train(w, ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9), shard=shard,
+                                       local_epochs=epochs, lr=lr))
+    want = w.tensors
+    for _ in range(epochs):
+        for batch in shard:
+            logits, cache = forward(ModelWeights(cfg, want), batch)
+            g = backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
+            want = {k: a - lr * g[k] for k, a in want.items()}
+    assert {k: v.tobytes() for k, v in w.tensors.items()} == before
+    assert list(got.tensors) == list(want)
+    for k, v in want.items():
+        assert got.tensors[k].shape == v.shape and got.tensors[k].tobytes() == v.tobytes(), k
 
 
 class TestAggregate:

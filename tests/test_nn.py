@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedslice import nn
 from fedslice.errors import NumericError, ValidationError
-from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
+from fedslice.nn import (Batch, Flat, ModelConfig, ModelWeights, attention_scores,
                          backward, evaluate, forward, init_weights, sgd_step,
                          softmax_cross_entropy)
 from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
@@ -36,6 +36,14 @@ def forward_dlogits(w, batch):
     """The cache of a forward pass over the batch and d(loss)/d(logits)."""
     logits, cache = forward(w, batch)
     return cache, softmax_cross_entropy(logits, batch.labels)[1]
+
+
+def flat_of(tensors):
+    """A Flat holding a copy of the tensors, in their order."""
+    flat = Flat({k: v.shape for k, v in tensors.items()})
+    for k, v in tensors.items():
+        np.copyto(flat.tensors[k], v)
+    return flat
 
 
 def zero_weights(cfg):
@@ -179,6 +187,21 @@ class TestBackward:
         assert list(grads) == list(w.tensors)
         assert all(grads[k].shape == v.shape for k, v in w.tensors.items())
 
+    def test_reused_buffer_equals_fresh_backward(self):
+        # every slot is overwritten, the embedding's included: neither the
+        # NaN prefill nor batch A's gradients leak into batch B's
+        w = init_weights(SMALL, 5)
+        grads = Flat({k: v.shape for k, v in w.tensors.items()})
+        grads.vector.fill(np.nan)
+        backward(*forward_dlogits(w, small_batch(1)), grads.tensors)
+        b = Batch(tokens=np.array([[1, 2, 1], [2, 1, 2]]), labels=np.array([0, 2]))
+        got = backward(*forward_dlogits(w, b), grads.tensors)
+        want = backward(*forward_dlogits(w, b))
+        assert got is grads.tensors and np.isfinite(grads.vector).all()
+        assert list(got) == list(want)
+        for name, g in want.items():
+            assert got[name].tobytes() == g.tobytes(), name
+
     def test_mismatched_cache_rejected(self):
         cache, dlogits = forward_dlogits(init_weights(SMALL, 5), small_batch(3))
         for wrong in (dlogits[:-1], dlogits[:, :-1], dlogits.T, dlogits.ravel()):
@@ -275,30 +298,40 @@ def test_backward_bit_equal_to_per_head_oracle(data):
 class TestSgdStep:
     def test_lr_zero_is_identity(self):
         w = init_weights(SMALL, 5)
-        g = {k: np.ones_like(v) for k, v in w.tensors.items()}
-        w2 = sgd_step(w, g, 0.0)
-        assert all(np.array_equal(w.tensors[k], w2.tensors[k]) for k in w.tensors)
+        params = flat_of(w.tensors)
+        sgd_step(params, flat_of({k: np.ones_like(v) for k, v in w.tensors.items()}), 0.0)
+        assert all(np.array_equal(w.tensors[k], params.tensors[k]) for k in w.tensors)
 
     def test_scalar_case(self):
-        w = ModelWeights(SMALL, {"x": np.array([[1.0]])})
-        w2 = sgd_step(w, {"x": np.array([[1.0]])}, 0.5)
-        assert w2.tensors["x"][0, 0] == 0.5
+        params = flat_of({"x": np.array([[1.0]])})
+        sgd_step(params, flat_of({"x": np.array([[1.0]])}), 0.5)
+        assert params.tensors["x"][0, 0] == 0.5
 
     def test_two_steps_equal_summed_displacement(self):
         w = init_weights(SMALL, 5)
-        g = {k: np.full_like(v, 0.25) for k, v in w.tensors.items()}
-        twice = sgd_step(sgd_step(w, g, 0.1), g, 0.1)
-        g2 = {k: 2 * v for k, v in g.items()}
-        once = sgd_step(w, g2, 0.1)
-        assert all(np.allclose(twice.tensors[k], once.tensors[k], atol=1e-15)
-                   for k in w.tensors)
+        twice, once = flat_of(w.tensors), flat_of(w.tensors)
+        for _ in range(2):  # the step scales its gradients in place, so each gets its own
+            sgd_step(twice, flat_of({k: np.full_like(v, 0.25) for k, v in w.tensors.items()}),
+                     0.1)
+        sgd_step(once, flat_of({k: np.full_like(v, 0.5) for k, v in w.tensors.items()}), 0.1)
+        assert np.allclose(twice.vector, once.vector, atol=1e-15)
 
     def test_non_finite_gradient_refused(self):
+        # an inf in a middle tensor and a NaN in the last: the error names
+        # the first of them in tensor order, and neither vector moves
         w = init_weights(SMALL, 5)
-        g = {k: np.zeros_like(v) for k, v in w.tensors.items()}
-        g["cls.b"][0] = np.inf
-        with pytest.raises(NumericError):
-            sgd_step(w, g, 0.1)
+        params = flat_of(w.tensors)
+        grads = flat_of(backward(*forward_dlogits(w, small_batch(1))))
+        names = list(w.tensors)
+        middle = names[len(names) // 2]
+        grads.tensors[middle].flat[-1] = np.inf
+        grads.tensors[names[-1]].flat[0] = np.nan
+        params_before, grads_before = params.vector.tobytes(), grads.vector.tobytes()
+        with pytest.raises(NumericError) as exc:
+            sgd_step(params, grads, 0.1)
+        assert str(exc.value) == f"non-finite gradient in {middle}; step refused"
+        assert params.vector.tobytes() == params_before
+        assert grads.vector.tobytes() == grads_before
 
 
 class TestEvaluate:
