@@ -31,20 +31,16 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
 
 
 def write_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    blob = bytearray()
-    blob += MAGIC
+    blob = bytearray(MAGIC)
     blob += struct.pack("<II", VERSION, len(tensors))
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.ascontiguousarray(arr, dtype="<f8")
         encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded))
-        blob += encoded
-        blob += struct.pack("<I", arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<Q", dim)
-        blob += arr.astype("<f8").tobytes(order="C")
+        blob += struct.pack("<I", len(encoded)) + encoded
+        blob += struct.pack(f"<I{arr.ndim}Q", arr.ndim, *arr.shape)
+        blob += arr.data
     with open(path, "wb") as f:
-        f.write(bytes(blob))
+        f.write(blob)
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:

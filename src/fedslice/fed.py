@@ -10,13 +10,13 @@ width for that slot. So fusion keeps only the specs, and counts coverage
 from them once, at the end of the round (`scaling.coverage`). With
 full-width specs this reduces exactly to FedAvg.
 
-Participants are handled one at a time: each one's sub-model is extracted
-just before it trains, and its trained update is added into the round's
-running sums (a `Fold`) and freed before the next one is extracted, so a
-round holds one sub-model at a time. The sums are divided once, at the end.
-A client trains a copy of its sub-model laid out in one vector (`nn.Flat`),
-with a second vector of the same layout for the gradients: every step
-writes its gradients into the one and updates the other in place.
+Participants are handled one at a time: each one's sub-model is sliced
+from the prioritized global straight into one vector (`nn.Flat`) just
+before it trains, trained there in place, added into the round's running
+sums (a `Fold`) and freed before the next one is extracted, so a round
+holds one sub-model at a time. The sums are divided once, at the end.
+A second vector of the sub-model's layout holds the gradients: every step
+writes its gradients into it and updates the sub-model in place.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -84,6 +84,8 @@ class FederationConfig:
             raise ConfigError("rounds and eval_every must be >= 0")
         if not self.ratio_set or not all(0 < r <= 1 for r in self.ratio_set):
             raise ConfigError(f"ratio_set must be non-empty, in (0, 1]: {list(self.ratio_set)}")
+        if len(set(self.ratio_set)) < len(self.ratio_set):
+            raise ConfigError(f"ratio_set repeats a ratio: {list(self.ratio_set)}")
 
 
 @dataclass
@@ -107,29 +109,24 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
-def local_train(w: ModelWeights, profile: ClientProfile) -> ModelWeights:
-    """local_epochs full passes of SGD over the shard, fixed batch order, on
-    a copy of `w` laid out in one vector (`nn.Flat`). `w` is left as it is,
-    and freed once copied unless the caller keeps a reference. Each step's
-    backward writes its gradients into a second vector of the same layout,
-    and the SGD step updates the copy in place; both vectors are reused by
-    every step."""
-    shapes = {name: arr.shape for name, arr in w.tensors.items()}
-    params = Flat(shapes)
-    for name, arr in w.tensors.items():
-        np.copyto(params.tensors[name], arr)
-    w = ModelWeights(w.config, params.tensors)  # drops this frame's hold on the input
-    grads = Flat(shapes)  # after the input is freed, so the two never coexist
+def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> Flat:
+    """The spec's sub-model of `w` after local_epochs full passes of SGD over
+    the shard, fixed batch order. The sub-model is extracted once, into one
+    vector (`nn.Flat`), and trained there in place; `w` is left as it is.
+    Each step's backward writes its gradients into a second vector of the
+    same layout, and both vectors are reused by every step."""
+    params = extract_submodel(w, spec)
+    grads = Flat(w.config, {name: arr.shape for name, arr in params.tensors.items()})
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
-            logits, cache = forward(w, batch)
+            logits, cache = forward(params, batch)
             loss, dlogits = softmax_cross_entropy(logits, batch.labels)
             if not np.isfinite(loss):
                 raise NumericError(f"client {profile.client_id}: non-finite loss")
             backward(cache, dlogits, grads.tensors)
             del cache  # its activations, before the next forward makes new ones
             sgd_step(params, grads, profile.lr)
-    return w
+    return params
 
 
 class Fold:
@@ -198,7 +195,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         client_specs.append({"client_id": cid, "spec": spec.to_dict(),
                              "param_count": n_params})
         try:
-            trained = local_train(extract_submodel(prioritized, spec), profile)
+            trained = local_train(prioritized, spec, profile)
         except NumericError as exc:
             dropped.append({"client_id": cid, "reason": str(exc)})
             continue

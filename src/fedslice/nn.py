@@ -135,15 +135,16 @@ class ModelWeights:
         return self.tensors[f"layer{layer}.w1"].shape[1]
 
 
-class Flat:
-    """Tensors laid end to end, in order, in one float64 vector: `tensors`
-    maps each name to a view of its run of `vector`, with its shape. The
-    values start uninitialised."""
+class Flat(ModelWeights):
+    """Weights whose tensors lie end to end, in order, in one float64
+    vector: each of `tensors` is a view of its run of `vector`, with the
+    given shape. The values start uninitialised."""
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+    def __init__(self, config: ModelConfig, shapes: dict[str, tuple[int, ...]]):
         sizes = [math.prod(shape) for shape in shapes.values()]
         self.vector = np.empty(sum(sizes))
-        self.tensors, end = {}, 0
+        super().__init__(config, {})
+        end = 0
         for (name, shape), size in zip(shapes.items(), sizes):
             self.tensors[name] = self.vector[end:end + size].reshape(shape)
             end += size
@@ -316,7 +317,7 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
         raise ValidationError(f"dlogits has shape {dlogits.shape}, the cached logits "
                               f"{(len(cache.batch), cfg.n_classes)}")
     if grads is None:
-        grads = Flat({name: arr.shape for name, arr in w.tensors.items()}).tensors
+        grads = Flat(cfg, {name: arr.shape for name, arr in w.tensors.items()}).tensors
 
     np.matmul(cache.pooled.T, dlogits, out=grads["cls.w"])
     dlogits.sum(axis=0, out=grads["cls.b"])

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .nn import ModelConfig, ModelWeights, attention_scores, full_shapes
+from .nn import Flat, ModelConfig, ModelWeights, attention_scores, full_shapes
 from .tensor import RngStream, check_permutation
 
 # The one definition of which coordinates a spec selects: per-layer tensor ->
@@ -341,14 +341,17 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     return out
 
 
-def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> ModelWeights:
-    """Copy out the coordinates the spec keeps: the leading channels of
-    every cut tensor."""
+def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> Flat:
+    """Copy out the coordinates the spec keeps, the leading channels of
+    every cut tensor, into one new vector (a `Flat`)."""
     spec.validate(w_prioritized.config)
     src = w_prioritized.tensors
-    plan = slice_plan(spec, {name: arr.shape for name, arr in src.items()})
-    return ModelWeights(w_prioritized.config,
-                        {name: src[name][idx].copy() for name, idx in plan.items()})
+    shapes = {name: arr.shape for name, arr in src.items()}
+    plan = slice_plan(spec, shapes)
+    sub = Flat(w_prioritized.config, submodel_shapes(spec, shapes))
+    for name, idx in plan.items():
+        np.copyto(sub.tensors[name], src[name][idx])
+    return sub
 
 
 __all__ = [

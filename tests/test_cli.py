@@ -46,6 +46,7 @@ MALFORMED = [
     ("federation", "ratio_set", [], "ratio_set"),
     ("federation", "ratio_set", [0.0, 1.0], "ratio_set"),
     ("federation", "ratio_set", [0.5, 1.5], "ratio_set"),
+    ("federation", "ratio_set", [0.5, 0.5, 1.0], "ratio_set repeats a ratio"),
     ("clients", "budget_fractions", [], "budget_fractions"),
     ("clients", "budget_fractions", [0.5, "x"], "budget_fractions"),
     ("clients", "budget_fractions", 0.5, "clients.budget_fractions"),

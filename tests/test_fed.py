@@ -141,13 +141,13 @@ class TestLocalTrain:
     def test_zero_epochs_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, local_epochs=0)[0]
-        out = local_train(w, p)
+        out = local_train(w, full_spec(TINY), p)
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_zero_lr_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, lr=0.0)[0]
-        out = local_train(w, p)
+        out = local_train(w, full_spec(TINY), p)
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_one_epoch_single_batch_equals_one_sgd_step(self):
@@ -155,7 +155,7 @@ class TestLocalTrain:
         batch = tiny_batch(0, n=1)
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[batch], local_epochs=1, lr=0.2)
-        out = local_train(w, p)
+        out = local_train(w, full_spec(TINY), p)
         logits, cache = forward(w, batch)
         _, dlogits = softmax_cross_entropy(logits, batch.labels)
         g = backward(cache, dlogits)
@@ -172,29 +172,34 @@ class TestLocalTrain:
             monkeypatch.setattr(module, "softmax_cross_entropy", counting)
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(s) for s in range(3)], local_epochs=2, lr=0.1)
-        local_train(init_weights(TINY, 3), p)
+        local_train(init_weights(TINY, 3), full_spec(TINY), p)
         assert len(calls) == 2 * 3
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="older CPython keeps call arguments on the caller's stack")
-    def test_input_weights_freed_after_first_step(self, monkeypatch):
+    def test_trains_its_one_extraction_in_place(self, monkeypatch):
+        # one sub-model-sized allocation besides the gradients: the
+        # extraction, which is trained and returned; the input is not touched
+        extracted, flats = [], []
+        real_extract, real_flat = fed.extract_submodel, nn.Flat.__init__
+
+        def extract(w, spec):
+            extracted.append(real_extract(w, spec))
+            return extracted[-1]
+
+        def counting_flat(self, *args):
+            flats.append(self)
+            real_flat(self, *args)
+
+        monkeypatch.setattr(fed, "extract_submodel", extract)
+        monkeypatch.setattr(nn.Flat, "__init__", counting_flat)
+        w = prioritize_model(init_weights(TINY, 1))
+        before = {k: v.tobytes() for k, v in w.tensors.items()}
+        spec = SubmodelSpec(ffn_widths=(3,), qk_widths=((2, 4),), v_widths=((1, 2),))
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(0), tiny_batch(1)], local_epochs=2, lr=0.1)
-        refs, alive = [], []
-        real_forward = fed.forward
-
-        def spy_forward(w, batch, *args, **kwargs):
-            alive.append(refs[0]() is not None)
-            return real_forward(w, batch, *args, **kwargs)
-
-        def fresh_weights():
-            w = init_weights(TINY, 1)
-            refs.append(weakref.ref(w))
-            return w
-
-        monkeypatch.setattr(fed, "forward", spy_forward)
-        local_train(fresh_weights(), p)
-        assert alive == [False, False, False, False]  # freed once copied, before any step
+        out = local_train(w, spec, p)
+        assert len(extracted) == 1 and out is extracted[0] and len(flats) == 2
+        assert out.vector.tobytes() != real_extract(w, spec).vector.tobytes()
+        assert {k: v.tobytes() for k, v in w.tensors.items()} == before
 
     def test_non_finite_gradient_drops_the_client_naming_the_tensor(self, monkeypatch):
         names = list(nn.full_shapes(TINY))
@@ -224,15 +229,15 @@ class TestLocalTrain:
 @given(st.data())
 def test_local_train_bit_equal_to_out_of_place_sgd(data):
     cfg = replace(data.draw(configs()), max_seq=3)
-    w = extract_submodel(prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99)))),
-                         data.draw(specs(cfg)))
+    w = prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99))))
+    spec = data.draw(specs(cfg))
     shard = [tiny_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 5)), cfg=cfg)
              for _ in range(data.draw(st.integers(1, 3)))]
     epochs, lr = data.draw(st.integers(1, 2)), data.draw(st.floats(0.0, 1.0))
     before = {k: v.tobytes() for k, v in w.tensors.items()}
-    got = local_train(w, ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9), shard=shard,
-                                       local_epochs=epochs, lr=lr))
-    want = w.tensors
+    got = local_train(w, spec, ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
+                                             shard=shard, local_epochs=epochs, lr=lr))
+    want = extract_submodel(w, spec).tensors
     for _ in range(epochs):
         for batch in shard:
             logits, cache = forward(ModelWeights(cfg, want), batch)
@@ -413,9 +418,9 @@ class TestRounds:
             events.append(("extract", spec.to_dict()))
             return real_extract(w, spec)
 
-        def train(w, profile):
+        def train(w, spec, profile):
             events.append(("train", profile.client_id))
-            out = real_train(w, profile)
+            out = real_train(w, spec, profile)
             events.append(("trained", profile.client_id))
             return out
 
@@ -426,7 +431,7 @@ class TestRounds:
         assert len(rec.participants) == 4
         expected = []
         for cid, cs in zip(rec.participants, rec.client_specs):
-            expected += [("extract", cs["spec"]), ("train", cid), ("trained", cid)]
+            expected += [("train", cid), ("extract", cs["spec"]), ("trained", cid)]
         assert events == expected
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -440,8 +445,8 @@ class TestRounds:
             alive.append([ref() is not None for ref in refs])
             return real_extract(w, spec)
 
-        def train(w, profile):
-            trained = real_train(w, profile)
+        def train(w, spec, profile):
+            trained = real_train(w, spec, profile)
             refs.append(weakref.ref(trained))
             return trained
 

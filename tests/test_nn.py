@@ -39,8 +39,9 @@ def forward_dlogits(w, batch):
 
 
 def flat_of(tensors):
-    """A Flat holding a copy of the tensors, in their order."""
-    flat = Flat({k: v.shape for k, v in tensors.items()})
+    """A Flat holding a copy of the tensors, in their order; its config
+    (SMALL) is one that sgd_step does not read."""
+    flat = Flat(SMALL, {k: v.shape for k, v in tensors.items()})
     for k, v in tensors.items():
         np.copyto(flat.tensors[k], v)
     return flat
@@ -191,7 +192,7 @@ class TestBackward:
         # every slot is overwritten, the embedding's included: neither the
         # NaN prefill nor batch A's gradients leak into batch B's
         w = init_weights(SMALL, 5)
-        grads = Flat({k: v.shape for k, v in w.tensors.items()})
+        grads = Flat(SMALL, {k: v.shape for k, v in w.tensors.items()})
         grads.vector.fill(np.nan)
         backward(*forward_dlogits(w, small_batch(1)), grads.tensors)
         b = Batch(tokens=np.array([[1, 2, 1], [2, 1, 2]]), labels=np.array([0, 2]))

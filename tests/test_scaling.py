@@ -10,7 +10,7 @@ from fedslice.nn import Batch, ModelConfig, forward, init_weights
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, joint_qk_salience, min_spec, param_count,
                               prioritize_model, rank_channels, salience_l1,
-                              sample_submodel_spec, uniform_spec,
+                              sample_submodel_spec, slice_plan, uniform_spec,
                               verify_theorem1)
 from fedslice.tensor import RngStream
 
@@ -242,9 +242,20 @@ class TestExtractSubmodel:
                     for c in combinations(range(dk), k))
                 assert kept == best
 
-    def test_spec_too_wide_rejected(self):
+    def test_copies_into_one_vector_in_tensor_order(self):
+        wp = prioritize_model(init_weights(CFG, 3))
+        spec = uniform_spec(CFG, 0.5)
+        sub = extract_submodel(wp, spec)
+        plan = slice_plan(spec, {k: v.shape for k, v in wp.tensors.items()})
+        assert list(sub.tensors) == list(wp.tensors) and sub.config == wp.config
+        assert sub.vector.tobytes() == b"".join(wp.tensors[k][idx].tobytes()
+                                                for k, idx in plan.items())
+        assert all(np.shares_memory(t, sub.vector) for t in sub.tensors.values())
+
+    def test_spec_too_wide_rejected(self, monkeypatch):
         wp = prioritize_model(init_weights(CFG, 3))
         narrow = extract_submodel(wp, uniform_spec(CFG, 0.5))
+        monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
         with pytest.raises(ShapeError):
             extract_submodel(narrow, full_spec(CFG))
 
