@@ -14,9 +14,14 @@ Participants are handled one at a time: each one's sub-model is sliced
 from the prioritized global straight into one vector (`nn.Flat`) just
 before it trains, trained there in place, added into the round's running
 sums (a `Fold`) and freed before the next one is extracted, so a round
-holds one sub-model at a time. The sums are divided once, at the end.
-A second vector of the sub-model's layout holds the gradients: every step
-writes its gradients into it and updates the sub-model in place.
+holds one sub-model at a time. A second vector of the sub-model's layout
+holds the gradients: every step writes its gradients into it and updates
+the sub-model in place. During training a round therefore holds three
+full-size copies of the weights (the previous global, its prioritized copy
+and the sums) besides one client's vectors and activations. The sums are
+divided once, at the end, in place: they become the new global. The fold
+and the prioritized copy are freed before evaluation, which then runs
+beside only the previous and the new global.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -132,7 +137,8 @@ def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> 
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
     prioritized global), the per-tensor sums of the updates added so far,
-    and their specs."""
+    and their specs. A fold is merged once: merging turns its sums into
+    the merged weights in place, and the fold takes no update after that."""
 
     def __init__(self, base: ModelWeights):
         self.base = base
@@ -142,19 +148,27 @@ class Fold:
 
     def merged(self) -> ModelWeights:
         """Per-coordinate mean over the covering updates; uncovered
-        coordinates keep the base value."""
+        coordinates keep the base value. The sums are divided in place and
+        become the returned weights' tensors, so no other model-sized array
+        is made."""
+        sums = self._open_sums()
+        self.sums = None
         cfg = self.base.config
-        merged = {}
         for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
-            new = self.base.tensors[name].copy()
-            np.divide(self.sums[name], c, out=new, where=c > 0)
-            merged[name] = new
-        return ModelWeights(self.base.config, merged)
+            np.divide(sums[name], c, out=sums[name], where=c > 0)
+            np.copyto(sums[name], self.base.tensors[name], where=c == 0)
+        return ModelWeights(cfg, sums)
+
+    def _open_sums(self) -> dict[str, np.ndarray]:
+        if self.sums is None:
+            raise AggregationError("fold already merged")
+        return self.sums
 
 
 def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> None:
     """Add each update into the fold's sums and specs, in list order. An
     update that does not fit the base raises before any of it is added."""
+    sums = fold._open_sums()
     for spec, w in updates:
         spec.validate(fold.base.config)
         plan = slice_plan(spec, fold.shapes)
@@ -163,7 +177,7 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
                 raise AggregationError(f"update tensor {name} has shape "
                                        f"{w.tensors[name].shape}, spec expects {shape}")
         for name, idx in plan.items():
-            fold.sums[name][idx] += w.tensors[name]
+            sums[name][idx] += w.tensors[name]
         fold.specs.append(spec)
 
 
@@ -204,6 +218,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         bytes_up += n_params * BYTES_PER_PARAM
 
     new_global = fold.merged() if fold.specs else global_w
+    del fold, prioritized  # the round's sums and prioritized copy, before evaluation
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)

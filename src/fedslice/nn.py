@@ -207,15 +207,16 @@ def _layer_norm_backward(dy: np.ndarray, scale: np.ndarray, ln_cache):
 
 @dataclass
 class _LayerCache:
-    """The activations of one layer that `backward` reads."""
-    a1: np.ndarray | None = None
+    """The activations of one layer that `backward` reads. The layer norms'
+    outputs a1 and a2 are not kept: `backward` recomputes each from its
+    cached (xhat, inv_std) as `scale * xhat + shift`, the expression
+    `_layer_norm` used, so bit for bit the forward's values."""
     ln1: tuple | None = None
     q: list = field(default_factory=list)
     k: list = field(default_factory=list)
     v: list = field(default_factory=list)
     probs: list = field(default_factory=list)
     o_cat: np.ndarray | None = None
-    a2: np.ndarray | None = None
     ln2: tuple | None = None
     relu: np.ndarray | None = None
 
@@ -230,8 +231,10 @@ class ForwardCache:
 
 def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
                    cache: _LayerCache | None) -> np.ndarray:
-    """Layer i applied to x; its activations go into `cache` unless it is
-    None, in which case they are freed on return."""
+    """Layer i applied to x, which it overwrites with its output; its
+    activations go into `cache` unless it is None, in which case they are
+    freed on return. The residual adds, the FFN bias and the ReLU run in
+    place, bit for bit their out-of-place forms."""
     a1, ln1 = _layer_norm(x, w[f"layer{i}.ln1.scale"], w[f"layer{i}.ln1.shift"])
     heads = []
     for h in range(w.config.n_heads):
@@ -247,14 +250,19 @@ def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
             cache.v.append(v)
             cache.probs.append(probs)
     o_cat = np.concatenate(heads, axis=-1)
-    x2 = x + o_cat @ w[f"layer{i}.wo"] + w[f"layer{i}.bo"]
-    a2, ln2 = _layer_norm(x2, w[f"layer{i}.ln2.scale"], w[f"layer{i}.ln2.shift"])
-    h1 = a2 @ w[f"layer{i}.w1"] + w[f"layer{i}.b1"]
-    relu = np.maximum(h1, 0.0)
+    del a1, heads  # each a (B, l, *) array that nothing below reads
+    x += o_cat @ w[f"layer{i}.wo"]  # x is now x2 = x + o_cat wo + bo
+    x += w[f"layer{i}.bo"]
+    a2, ln2 = _layer_norm(x, w[f"layer{i}.ln2.scale"], w[f"layer{i}.ln2.shift"])
+    relu = a2 @ w[f"layer{i}.w1"]
+    del a2  # likewise
+    relu += w[f"layer{i}.b1"]
+    np.maximum(relu, 0.0, out=relu)
     if cache is not None:
-        cache.a1, cache.ln1, cache.o_cat, cache.a2, cache.ln2, cache.relu = \
-            a1, ln1, o_cat, a2, ln2, relu
-    return x2 + relu @ w[f"layer{i}.w2"] + w[f"layer{i}.b2"]
+        cache.ln1, cache.o_cat, cache.ln2, cache.relu = ln1, o_cat, ln2, relu
+    x += relu @ w[f"layer{i}.w2"]
+    x += w[f"layer{i}.b2"]
+    return x
 
 
 def _pool(w: ModelWeights, tokens: np.ndarray, layer_caches: list) -> np.ndarray:
@@ -303,8 +311,10 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     weights' names and shapes (a `Flat`'s tensors, say); every value there
     is overwritten. With `grads` None a new `Flat`'s tensors are filled.
 
-    A layer's wq/wk/wv gradients are column slices of one einsum over every
-    head's concatenated d(a1 @ w), bit for bit the per-tensor einsums:
+    The layer norms' outputs a1 and a2 are recomputed from the cache (see
+    `_LayerCache`). A layer's wq/wk/wv gradients are column slices of one
+    einsum over every head's d(a1 @ w), laid side by side in one buffer,
+    bit for bit the per-tensor einsums:
     - exact, because einsum sums each output coordinate over (b, l) in the
       same order whatever the output's width;
     - bias sums stay per head, because a width-1 head's (B, l, 1) sum takes
@@ -333,7 +343,9 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
         np.einsum("blf,bld->fd", lc.relu, dx, out=grads[f"layer{i}.w2"])
         drelu = dx @ w[f"layer{i}.w2"].T
         dh1 = drelu * (lc.relu > 0)  # relu(h1) > 0 exactly where h1 > 0
-        np.einsum("bld,blf->df", lc.a2, dh1, out=grads[f"layer{i}.w1"])
+        a2 = w[f"layer{i}.ln2.scale"] * lc.ln2[0] + w[f"layer{i}.ln2.shift"]
+        np.einsum("bld,blf->df", a2, dh1, out=grads[f"layer{i}.w1"])
+        del a2
         dh1.sum(axis=(0, 1), out=grads[f"layer{i}.b1"])
         da2 = dh1 @ w[f"layer{i}.w1"].T
         dx2_ln, dsc2, dsh2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], lc.ln2)
@@ -346,9 +358,13 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
         np.einsum("blc,bld->cd", lc.o_cat, dx2, out=grads[f"layer{i}.wo"])
         do_cat = dx2 @ w[f"layer{i}.wo"].T
 
-        da1 = np.zeros_like(lc.a1)
-        d_proj = {}  # wq/wk/wv name -> d(a1 @ it), in grads order
+        xhat1 = lc.ln1[0]
+        da1 = np.zeros_like(xhat1)
+        # d(a1 @ w) of every head's wq, wk, wv, side by side in grads order
+        proj = [f"layer{i}.head{h}.{t}" for h in range(cfg.n_heads) for t in ("wq", "wk", "wv")]
+        d_proj = np.empty(xhat1.shape[:2] + (sum(w[name].shape[1] for name in proj),))
         offset = 0
+        end = 0
         for h in range(cfg.n_heads):
             p = f"layer{i}.head{h}"
             dv_h = lc.v[h].shape[-1]
@@ -361,17 +377,21 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
             dscores /= np.sqrt(lc.q[h].shape[-1])
             dq = dscores @ lc.k[h]
             dk = dscores.transpose(0, 2, 1) @ lc.q[h]
-            d_proj.update({f"{p}.wq": dq, f"{p}.wk": dk, f"{p}.wv": dv})
             dq.sum(axis=(0, 1), out=grads[f"{p}.bq"])
             dk.sum(axis=(0, 1), out=grads[f"{p}.bk"])
             dv.sum(axis=(0, 1), out=grads[f"{p}.bv"])
+            for d in (dq, dk, dv):
+                d_proj[..., end:end + d.shape[-1]] = d
+                end += d.shape[-1]
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
 
-        d_cat = np.einsum("bld,blk->dk", lc.a1, np.concatenate(list(d_proj.values()), axis=-1))
+        a1 = w[f"layer{i}.ln1.scale"] * xhat1 + w[f"layer{i}.ln1.shift"]
+        d_cat = np.einsum("bld,blk->dk", a1, d_proj)
+        del a1, d_proj
         end = 0
-        for name, d in d_proj.items():
-            np.copyto(grads[name], d_cat[:, end:end + d.shape[-1]])
-            end += d.shape[-1]
+        for name in proj:
+            np.copyto(grads[name], d_cat[:, end:end + w[name].shape[1]])
+            end += w[name].shape[1]
 
         dx_ln, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
         np.copyto(grads[f"layer{i}.ln1.scale"], dsc1)
@@ -395,12 +415,25 @@ def sgd_step(params: Flat, grads: Flat, lr: float) -> None:
     params.vector -= grads.vector
 
 
+def _cores() -> int:
+    """How many cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _eval_chunks(tokens: np.ndarray) -> list[np.ndarray]:
     """The rows of a non-empty token matrix cut into near-equal, non-empty
-    runs of about _EVAL_ROWS token positions each; a matrix of at most
-    _EVAL_ROWS positions stays whole."""
+    runs of at most about _EVAL_ROWS token positions each. A matrix of at
+    most _EVAL_ROWS positions stays whole, so it starts no thread; one that
+    needs more chunks gets a multiple of the core count (or one chunk per
+    row), so every thread of `_map_threads` takes as many."""
     n, seq_len = tokens.shape
-    return np.array_split(tokens, max(1, min(n, -(-n * seq_len // _EVAL_ROWS))))
+    k = -(-n * seq_len // _EVAL_ROWS)
+    if k > 1:
+        cores = _cores()
+        k = -(-k // cores) * cores
+    return np.array_split(tokens, max(1, min(n, k)))
 
 
 def _map_threads(fn, items: list) -> list:
@@ -409,8 +442,7 @@ def _map_threads(fn, items: list) -> list:
     and runs them in a copy of the caller's context (numpy's errstate is a
     context variable); the exception of the first item that raised is
     re-raised in the caller."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = min(cores or 1, len(items))
+    n = min(_cores(), len(items))
     results = [None] * len(items)
     errors = {}
 

@@ -297,10 +297,11 @@ class TestAggregate:
         one_at_a_time = Fold(g)
         for update in updates:
             aggregate(one_at_a_time, [update])
+        streamed = one_at_a_time.merged()
         expected = oracle_aggregate(g, updates)
         for k in g.tensors:
             assert out.tensors[k].tobytes() == expected[k].tobytes(), k
-            assert one_at_a_time.merged().tensors[k].tobytes() == expected[k].tobytes(), k
+            assert streamed.tensors[k].tobytes() == expected[k].tobytes(), k
 
     def test_no_updates_keep_global(self):
         g = init_weights(TINY, 1)
@@ -314,6 +315,19 @@ class TestAggregate:
         bad.tensors["cls.w"] = np.zeros((1, 1))
         with pytest.raises(AggregationError):
             fold_all(g, [(full_spec(TINY), bad)])
+
+    def test_a_fold_merges_once_and_takes_no_update_after(self):
+        g = init_weights(TINY, 1)
+        update = (full_spec(TINY), init_weights(TINY, 2))
+        fold = Fold(g)
+        aggregate(fold, [update])
+        out = fold.merged()
+        before = {k: v.tobytes() for k, v in out.tensors.items()}
+        with pytest.raises(AggregationError):
+            fold.merged()
+        with pytest.raises(AggregationError):
+            aggregate(fold, [update])
+        assert {k: v.tobytes() for k, v in out.tensors.items()} == before
 
     def test_rejected_update_leaves_the_fold_untouched(self):
         g = init_weights(TINY, 1)
@@ -467,6 +481,25 @@ class TestRounds:
         assert calls == [1, 1, 1]
         assert alive == [[], [False], [False], [False, False]]
         assert all(ref() is None for ref in refs)
+
+    def test_prioritized_copy_is_freed_before_evaluation(self, monkeypatch):
+        refs, evaluated = [], []
+        real_prioritize, real_evaluate = fed.prioritize_model, fed.evaluate
+
+        def prioritize(w, **kw):
+            out = real_prioritize(w, **kw)
+            refs.append(weakref.ref(out))
+            return out
+
+        def evaluate(w, batches):
+            evaluated.append([ref() is None for ref in refs])
+            return real_evaluate(w, batches)
+
+        monkeypatch.setattr(fed, "prioritize_model", prioritize)
+        monkeypatch.setattr(fed, "evaluate", evaluate)
+        cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2, eval_every=1)
+        run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batches=[tiny_batch(7, n=6)])
+        assert evaluated == [[True], [True, True]]
 
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -89,10 +90,11 @@ class TestAttentionScores:
         batch = small_batch(seed=4)
         _, cache = forward(w, batch)
         lc = cache.layers[0]
+        a1 = layer_norm_output(w, "layer0.ln1", lc.ln1)
         for h in range(SMALL.n_heads):
             wq, wk = w[f"layer0.head{h}.wq"], w[f"layer0.head{h}.wk"]
             for b in range(len(batch)):
-                assert np.array_equal(attention_scores(wq, wk, lc.a1[b]), lc.probs[h][b])
+                assert np.array_equal(attention_scores(wq, wk, a1[b]), lc.probs[h][b])
 
 
 class TestForward:
@@ -225,6 +227,12 @@ class TestBackward:
         assert len(calls) == 4 * DEEP.n_layers
 
 
+def layer_norm_output(w, prefix, ln_cache):
+    """A layer norm's output from its cached (xhat, inv_std), as the forward
+    computed it."""
+    return w[f"{prefix}.scale"] * ln_cache[0] + w[f"{prefix}.shift"]
+
+
 def per_head_backward(cache, dlogits):
     """backward() with one weight-gradient einsum per wq/wk/wv tensor, as
     it was written before they were fused into one einsum per layer."""
@@ -237,10 +245,12 @@ def per_head_backward(cache, dlogits):
     dx = np.repeat(dpooled[:, None, :], seq_len, axis=1) / seq_len
     for i in reversed(range(w.config.n_layers)):
         lc = cache.layers[i]
+        a1 = layer_norm_output(w, f"layer{i}.ln1", lc.ln1)
+        a2 = layer_norm_output(w, f"layer{i}.ln2", lc.ln2)
         grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
         grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
         dh1 = (dx @ w[f"layer{i}.w2"].T) * (lc.relu > 0)
-        grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", lc.a2, dh1)
+        grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", a2, dh1)
         grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
         dx2_ln, grads[f"layer{i}.ln2.scale"], grads[f"layer{i}.ln2.shift"] = \
             nn._layer_norm_backward(dh1 @ w[f"layer{i}.w1"].T, w[f"layer{i}.ln2.scale"], lc.ln2)
@@ -248,7 +258,7 @@ def per_head_backward(cache, dlogits):
         grads[f"layer{i}.bo"] = dx2.sum(axis=(0, 1))
         grads[f"layer{i}.wo"] = np.einsum("blc,bld->cd", lc.o_cat, dx2)
         do_cat = dx2 @ w[f"layer{i}.wo"].T
-        da1 = np.zeros_like(lc.a1)
+        da1 = np.zeros_like(a1)
         offset = 0
         for h in range(w.config.n_heads):
             p = f"layer{i}.head{h}"
@@ -262,11 +272,11 @@ def per_head_backward(cache, dlogits):
             dscores /= np.sqrt(lc.q[h].shape[-1])
             dq = dscores @ lc.k[h]
             dk = dscores.transpose(0, 2, 1) @ lc.q[h]
-            grads[f"{p}.wq"] = np.einsum("bld,blk->dk", lc.a1, dq)
+            grads[f"{p}.wq"] = np.einsum("bld,blk->dk", a1, dq)
             grads[f"{p}.bq"] = dq.sum(axis=(0, 1))
-            grads[f"{p}.wk"] = np.einsum("bld,blk->dk", lc.a1, dk)
+            grads[f"{p}.wk"] = np.einsum("bld,blk->dk", a1, dk)
             grads[f"{p}.bk"] = dk.sum(axis=(0, 1))
-            grads[f"{p}.wv"] = np.einsum("bld,blk->dk", lc.a1, dv)
+            grads[f"{p}.wv"] = np.einsum("bld,blk->dk", a1, dv)
             grads[f"{p}.bv"] = dv.sum(axis=(0, 1))
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
         dx_ln, grads[f"layer{i}.ln1.scale"], grads[f"layer{i}.ln1.shift"] = \
@@ -387,15 +397,25 @@ def two_chunk_batch(bad_token):
 
 class TestChunkedEvaluate:
     @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 60), seq=st.integers(1, 9), rows=st.integers(1, 64))
-    def test_chunks_are_near_equal_and_cover_the_batch(self, n, seq, rows):
+    @given(n=st.integers(1, 60), seq=st.integers(1, 9), rows=st.integers(1, 64),
+           cores=st.integers(1, 4))
+    def test_chunks_are_near_equal_and_cover_the_batch(self, n, seq, rows, cores):
         batch = small_batch(0, n=n, seq=seq)
-        with mock.patch.object(nn, "_EVAL_ROWS", rows):
+        with mock.patch.object(nn, "_EVAL_ROWS", rows), \
+                mock.patch.object(nn, "_cores", lambda: cores):
             chunks = nn._eval_chunks(batch.tokens)
         sizes = [len(c) for c in chunks]
         assert np.array_equal(np.concatenate(chunks), batch.tokens)
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
         assert (len(chunks) == 1) == (n * seq <= rows or n == 1)
+        # as many chunks per thread, unless there is one chunk per row
+        assert len(chunks) == 1 or len(chunks) % cores == 0 or len(chunks) == n
+        assert len(chunks) <= max(1, cores * math.ceil(math.ceil(n * seq / rows) / cores))
+
+    def test_an_eval_set_of_seven_chunks_splits_into_eight_on_two_cores(self, monkeypatch):
+        two_cores(monkeypatch)
+        tokens = np.zeros((240, 29), dtype=np.intp)  # 6,960 positions: 7 chunks of _EVAL_ROWS
+        assert [len(c) for c in nn._eval_chunks(tokens)] == [30] * 8
 
     def test_overflow_in_a_worker_chunk_raises_in_caller(self, monkeypatch):
         two_cores(monkeypatch)
