@@ -12,9 +12,9 @@ import json
 from dataclasses import MISSING, dataclass, field, fields
 
 from .data import PartitionSpec, TaskSpec
-from .errors import ConfigError, ValidationError, check_types
+from .errors import ConfigError, ValidationError, check_size, check_types
 from .fed import FederationConfig
-from .nn import _MAX_VALUES, ModelConfig
+from .nn import ModelConfig
 
 # the required sections, each a RunConfig field; `spp` and `clients` are optional
 _SECTIONS = ("model", "federation", "task", "partition")
@@ -48,13 +48,9 @@ class RunConfig:
             if getattr(self.task, key) > getattr(self.model, limit):
                 raise ConfigError(f"task.{key} = {getattr(self.task, key)} exceeds "
                                   f"model.{limit} = {getattr(self.model, limit)}")
-        n_values = self.task.n_samples * self.task.seq_len  # ModelConfig checks the model's
-        if n_values > _MAX_VALUES:  # numpy would fail with a ValueError, not OOM
-            dims = {"n_samples": self.task.n_samples, "seq_len": self.task.seq_len}
-            key = max(dims, key=dims.get)
-            raise ConfigError(f"task.{key} = {dims[key]} is too large: the task's arrays "
-                              f"would hold {n_values} values, more than numpy can index "
-                              f"({_MAX_VALUES})")
+        # the token matrix; ModelConfig checks the model's arrays
+        dims = {"n_samples": self.task.n_samples, "seq_len": self.task.seq_len}
+        check_size("task", dims, self.task.n_samples * self.task.seq_len, ConfigError)
 
 
 def _section(doc: dict, name: str, cls, keep=lambda f: True) -> dict:

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package, and the one type check
-every config dataclass runs on its fields."""
+"""Exception hierarchy shared across the package, the one type check every
+config dataclass runs on its fields, and the one check that a config's
+arrays are not too large for numpy to index."""
 
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 
 class FedsliceError(Exception):
@@ -57,3 +60,17 @@ def check_types(obj, section: str) -> None:
         if test is not None and not test(value):
             raise ValidationError(f"{f.metadata.get('section', section)}.{f.name} "
                                   f"must be {kind}: {value!r}")
+
+
+# numpy indexes an array's bytes with intp, and a model or token value takes 8
+_MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
+def check_size(section: str, dims: dict, n_values: int, error: type) -> None:
+    """Raise `error` if the section's arrays, n_values values in all, would be
+    more than numpy can index, naming the largest of its dims: numpy would
+    fail with a ValueError, not run out of memory."""
+    if n_values > _MAX_VALUES:
+        key = max(dims, key=dims.get)
+        raise error(f"{section}.{key} = {dims[key]} is too large: the {section}'s arrays "
+                    f"would hold {n_values} values, more than numpy can index ({_MAX_VALUES})")

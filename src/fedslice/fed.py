@@ -182,8 +182,8 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
 
 
 def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
-              cfg: FederationConfig, eval_batches=None) -> tuple[ModelWeights, RoundRecord]:
-    """Round t: prioritize, sample specs, extract, local train, aggregate."""
+              cfg: FederationConfig, eval_batch=None) -> tuple[ModelWeights, RoundRecord]:
+    """Round t: prioritize, sample specs, extract, local train, aggregate, evaluate."""
     t0 = time.monotonic()
     seed = cfg.master_seed
 
@@ -222,8 +222,8 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)
-    if eval_batches is not None and cfg.eval_every > 0 and (t + 1) % cfg.eval_every == 0:
-        record.accuracy, record.loss = evaluate(new_global, eval_batches)
+    if eval_batch is not None and cfg.eval_every > 0 and (t + 1) % cfg.eval_every == 0:
+        record.accuracy, record.loss = evaluate(new_global, eval_batch)
     record.wall_time = time.monotonic() - t0
 
     return new_global, record
@@ -231,7 +231,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
 
 def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
                    profiles: list[ClientProfile],
-                   eval_batches=None) -> tuple[ModelWeights, list[RoundRecord]]:
+                   eval_batch=None) -> tuple[ModelWeights, list[RoundRecord]]:
     """Initialize from the master seed and execute all rounds."""
     if len(profiles) != cfg.n_clients:
         raise ConfigError(f"{len(profiles)} profiles for {cfg.n_clients} clients")
@@ -244,7 +244,7 @@ def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
     w = init_weights(model_cfg, cfg.master_seed)
     log: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        w, record = run_round(w, t, profiles, cfg, eval_batches=eval_batches)
+        w, record = run_round(w, t, profiles, cfg, eval_batch=eval_batch)
         log.append(record)
     return w, log
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError, check_types
+from .errors import NumericError, ShapeError, ValidationError, check_size, check_types
 from .tensor import RngStream
 
 LN_EPS = 1e-5
@@ -44,14 +44,9 @@ class ModelConfig:
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ValidationError(f"ModelConfig.{f.name} must be >= 1")
-        n_values = _model_values(self)
-        if n_values > _MAX_VALUES:  # numpy would fail with a ValueError, not OOM
-            dims = {f.name: getattr(self, f.name) for f in fields(self)
-                    if f.name != "max_seq"}  # max_seq sizes no tensor
-            key = max(dims, key=dims.get)
-            raise ValidationError(f"model.{key} = {dims[key]} is too large: the model's "
-                                  f"arrays would hold {n_values} values, more than numpy "
-                                  f"can index ({_MAX_VALUES})")
+        dims = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "max_seq"}  # max_seq sizes no tensor
+        check_size("model", dims, _model_values(self), ValidationError)
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,6 @@ def full_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["cls.w"] = (d, cfg.n_classes)
     shapes["cls.b"] = (cfg.n_classes,)
     return shapes
-
-
-# numpy indexes an array's bytes with intp, and a model or token value takes 8
-_MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
 def _model_values(m: ModelConfig) -> int:
@@ -303,13 +294,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 
 
 def backward(cache: ForwardCache, dlogits: np.ndarray,
-             grads: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+             grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """d(loss)/d(tensor) for every tensor of the cached forward's weights, in
     tensor order, from d(loss)/d(logits) of that forward's batch.
 
     Each gradient is written into its array in `grads`, which must have the
     weights' names and shapes (a `Flat`'s tensors, say); every value there
-    is overwritten. With `grads` None a new `Flat`'s tensors are filled.
+    is overwritten.
 
     The layer norms' outputs a1 and a2 are recomputed from the cache (see
     `_LayerCache`). A layer's wq/wk/wv gradients are column slices of one
@@ -326,8 +317,6 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     if dlogits.shape != (len(cache.batch), cfg.n_classes):
         raise ValidationError(f"dlogits has shape {dlogits.shape}, the cached logits "
                               f"{(len(cache.batch), cfg.n_classes)}")
-    if grads is None:
-        grads = Flat(cfg, {name: arr.shape for name, arr in w.tensors.items()}).tensors
 
     np.matmul(cache.pooled.T, dlogits, out=grads["cls.w"])
     dlogits.sum(axis=0, out=grads["cls.b"])
@@ -423,11 +412,11 @@ def _cores() -> int:
 
 
 def _eval_chunks(tokens: np.ndarray) -> list[np.ndarray]:
-    """The rows of a non-empty token matrix cut into near-equal, non-empty
-    runs of at most about _EVAL_ROWS token positions each. A matrix of at
-    most _EVAL_ROWS positions stays whole, so it starts no thread; one that
-    needs more chunks gets a multiple of the core count (or one chunk per
-    row), so every thread of `_map_threads` takes as many."""
+    """The rows of the evaluation batch's (non-empty) token matrix cut into
+    near-equal, non-empty runs of at most about _EVAL_ROWS token positions
+    each. A batch of at most _EVAL_ROWS positions stays whole, so it starts
+    no thread; one that needs more chunks gets a multiple of the core count
+    (or one chunk per row), so every thread of `_map_threads` takes as many."""
     n, seq_len = tokens.shape
     k = -(-n * seq_len // _EVAL_ROWS)
     if k > 1:
@@ -442,6 +431,10 @@ def _map_threads(fn, items: list) -> list:
     and runs them in a copy of the caller's context (numpy's errstate is a
     context variable); the exception of the first item that raised is
     re-raised in the caller."""
+    # The caller works as one of the threads, not waiting on a pool: each
+    # extra thread that allocates gets its own glibc malloc arena. With a
+    # ThreadPoolExecutor of two workers (caller waiting), perfbench medium's
+    # peak RSS rose from 87.3-89.1 to 95.0-98.1 MB (3 runs each, 2-core Xeon).
     n = min(_cores(), len(items))
     results = [None] * len(items)
     errors = {}
@@ -466,29 +459,19 @@ def _map_threads(fn, items: list) -> list:
     return results
 
 
-def evaluate(w: ModelWeights, batches) -> tuple[float, float]:
-    """Accuracy and mean cross-entropy over all samples in the batches, bit
-    for bit those of `forward` on each batch. Empty batches are skipped.
+def evaluate(w: ModelWeights, batch: Batch) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy over the samples of a non-empty
+    batch, bit for bit those of `forward` on it.
 
-    Each batch's sequences are pooled in chunks of about _EVAL_ROWS token
+    The batch's sequences are pooled in chunks of about _EVAL_ROWS token
     positions, whose activations stay in cache, on every usable core. The
-    classifier then runs once on the whole batch's pooled rows, as in
-    `forward`: it is one GEMM over all rows, and BLAS may round a row
-    differently when the GEMM has fewer rows."""
-    batches = [b for b in batches if len(b)]
-    if not batches:
-        raise ValidationError("evaluation set is empty")
-    chunks = [_eval_chunks(b.tokens) for b in batches]
+    classifier then runs once on all the pooled rows, as in `forward`: it
+    is one GEMM over all rows, and BLAS may round a row differently when
+    the GEMM has fewer rows."""
+    if not len(batch):
+        raise ValidationError("evaluation batch is empty")
     no_cache = [None] * w.config.n_layers
-    pooled = iter(_map_threads(lambda tokens: _pool(w, tokens, no_cache),
-                               [c for cs in chunks for c in cs]))
-    correct = 0
-    total = 0
-    loss_sum = 0.0
-    for b, cs in zip(batches, chunks):
-        logits = np.concatenate([next(pooled) for _ in cs]) @ w["cls.w"] + w["cls.b"]
-        loss, _ = softmax_cross_entropy(logits, b.labels)
-        loss_sum += loss * len(b)
-        correct += int((logits.argmax(axis=1) == b.labels).sum())
-        total += len(b)
-    return correct / total, loss_sum / total
+    pooled = _map_threads(lambda tokens: _pool(w, tokens, no_cache), _eval_chunks(batch.tokens))
+    logits = np.concatenate(pooled) @ w["cls.w"] + w["cls.b"]
+    loss, _ = softmax_cross_entropy(logits, batch.labels)
+    return int((logits.argmax(axis=1) == batch.labels).sum()) / len(batch), loss

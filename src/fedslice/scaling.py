@@ -289,9 +289,9 @@ def _stack(picks: list, have: list) -> np.ndarray:
 
 def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     """For every tensor of a model with these shapes, the index that selects
-    the coordinates the spec keeps (``()`` keeps the whole tensor). A cut
-    keeps a leading slice when every block but its last is whole, and an
-    index array otherwise. Blocks are placed by the model's own widths, so
+    the coordinates the spec keeps (``()`` keeps the whole tensor). A cut of
+    one block keeps a leading slice, and one of several blocks (``wo``'s
+    heads) an index array. Blocks are placed by the model's own widths, so
     the model may itself be a sub-model; a spec wider than it raises
     ShapeError."""
     layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
@@ -304,8 +304,6 @@ def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     for name, axis, js in layout.cuts:
         if len(js) == 1:
             kept = slice(0, keep[js[0]])
-        elif all(keep[j] == have[j] for j in js[:-1]):
-            kept = slice(0, sum(keep[j] for j in js))
         else:
             kept = _stack([range(keep[j]) for j in js], [have[j] for j in js])
         plan[name] = (slice(None),) * axis + (kept,)

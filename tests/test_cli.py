@@ -15,9 +15,11 @@ from fedslice import cli
 from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
                                  write_checkpoint)
 from fedslice.config import parse_run_config
+from fedslice.data import generate
 from fedslice.errors import ConfigError, FormatError
-from fedslice.nn import ModelConfig, _model_values, full_shapes, init_weights
+from fedslice.nn import Batch, ModelConfig, _model_values, full_shapes, init_weights
 from fedslice.scaling import param_count, uniform_spec
+from fedslice.sim import build_profiles
 from test_slice_plan import configs
 
 
@@ -245,6 +247,32 @@ class TestRunConfig:
     def test_seed_override(self):
         cfg = parse_run_config(json.dumps(run_config_doc()), seed_override=99)
         assert cfg.federation.master_seed == 99
+
+
+class TestBuildProfiles:
+    @pytest.mark.parametrize("fraction", [0.2, 0.33])  # 24 and 39.6 -> 40 of 120 samples
+    def test_eval_batch_is_the_last_generated_samples(self, fraction):
+        doc = run_config_doc()
+        doc["clients"]["eval_fraction"] = fraction
+        cfg = parse_run_config(json.dumps(doc))
+        profiles, eval_batch, _ = build_profiles(cfg)
+        tokens, labels = generate(cfg.task)
+        n_eval = round(fraction * cfg.task.n_samples)
+        assert type(eval_batch) is Batch and len(eval_batch) == n_eval
+        assert eval_batch.tokens.tobytes() == tokens[-n_eval:].tobytes()
+        assert eval_batch.labels.tobytes() == labels[-n_eval:].tobytes()
+        assert sum(len(b) for p in profiles for b in p.shard) == cfg.task.n_samples - n_eval
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.004])  # 0.48 of 120 samples rounds to none
+    def test_without_eval_samples_no_round_is_scored(self, tmp_path, fraction):
+        doc = run_config_doc()
+        doc["clients"]["eval_fraction"] = fraction
+        assert build_profiles(parse_run_config(json.dumps(doc)))[1] is None
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "metrics.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        assert all(r["accuracy"] is None and r["loss"] is None for r in records)
 
 
 class TestCmdRun:

@@ -11,12 +11,13 @@ from fedslice import fed, nn
 from fedslice.errors import AggregationError, ConfigError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
-from fedslice.nn import (Batch, ModelConfig, ModelWeights, backward, forward,
-                         init_weights, softmax_cross_entropy)
+from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
+                         softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               full_spec, param_count, prioritize_model)
 from fedslice.tensor import RngStream
 
+from test_nn import backward_new
 from test_slice_plan import configs, specs
 
 # small enough that every matrix is at most 4x4
@@ -158,7 +159,7 @@ class TestLocalTrain:
         out = local_train(w, full_spec(TINY), p)
         logits, cache = forward(w, batch)
         _, dlogits = softmax_cross_entropy(logits, batch.labels)
-        g = backward(cache, dlogits)
+        g = backward_new(cache, dlogits)
         assert all(np.array_equal(a - 0.2 * g[k], out.tensors[k]) for k, a in w.tensors.items())
 
     def test_one_loss_call_per_step(self, monkeypatch):
@@ -241,7 +242,7 @@ def test_local_train_bit_equal_to_out_of_place_sgd(data):
     for _ in range(epochs):
         for batch in shard:
             logits, cache = forward(ModelWeights(cfg, want), batch)
-            g = backward(cache, softmax_cross_entropy(logits, batch.labels)[1])
+            g = backward_new(cache, softmax_cross_entropy(logits, batch.labels)[1])
             want = {k: a - lr * g[k] for k, a in want.items()}
     assert {k: v.tobytes() for k, v in w.tensors.items()} == before
     assert list(got.tensors) == list(want)
@@ -491,14 +492,14 @@ class TestRounds:
             refs.append(weakref.ref(out))
             return out
 
-        def evaluate(w, batches):
+        def evaluate(w, batch):
             evaluated.append([ref() is None for ref in refs])
-            return real_evaluate(w, batches)
+            return real_evaluate(w, batch)
 
         monkeypatch.setattr(fed, "prioritize_model", prioritize)
         monkeypatch.setattr(fed, "evaluate", evaluate)
         cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2, eval_every=1)
-        run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batches=[tiny_batch(7, n=6)])
+        run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batch=tiny_batch(7, n=6))
         assert evaluated == [[True], [True, True]]
 
     def test_infeasible_budget_fails_at_setup(self):
@@ -508,12 +509,12 @@ class TestRounds:
 
     def test_run_round_continues_a_federation(self):
         kw = dict(ratio_set=(0.5, 1.0), participation_rate=0.5, eval_every=1)
-        evals = [tiny_batch(7, n=6)]
+        evals = tiny_batch(7, n=6)
         w1, _ = run_federation(fed_cfg(rounds=1, **kw), TINY, make_profiles(TINY, 4),
-                               eval_batches=evals)
+                               eval_batch=evals)
         cfg = fed_cfg(rounds=2, **kw)
-        w2, log = run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batches=evals)
-        w, rec = run_round(w1, 1, make_profiles(TINY, 4), cfg, eval_batches=evals)
+        w2, log = run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batch=evals)
+        w, rec = run_round(w1, 1, make_profiles(TINY, 4), cfg, eval_batch=evals)
         assert w.tensors.keys() == w2.tensors.keys()
         assert all(w.tensors[k].tobytes() == w2.tensors[k].tobytes() for k in w.tensors)
         got, want = asdict(rec), asdict(log[1])

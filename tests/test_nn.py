@@ -39,6 +39,13 @@ def forward_dlogits(w, batch):
     return cache, softmax_cross_entropy(logits, batch.labels)[1]
 
 
+def backward_new(cache, dlogits):
+    """backward() into the tensors of a new Flat of the cached weights' layout."""
+    w = cache.weights
+    return backward(cache, dlogits,
+                    Flat(w.config, {k: v.shape for k, v in w.tensors.items()}).tensors)
+
+
 def flat_of(tensors):
     """A Flat holding a copy of the tensors, in their order; its config
     (SMALL) is one that sgd_step does not read."""
@@ -149,7 +156,7 @@ class TestBackward:
     def test_matches_finite_differences_spot_check(self):
         w = init_weights(SMALL, 5)
         batch = small_batch(2)
-        grads = backward(*forward_dlogits(w, batch))
+        grads = backward_new(*forward_dlogits(w, batch))
         eps = 1e-5
         for name in ("layer0.head0.wq", "layer0.w1", "cls.w", "layer0.ln2.scale"):
             arr = w.tensors[name]
@@ -170,14 +177,14 @@ class TestBackward:
         w = zero_weights(SMALL)
         w.tensors["cls.b"][0] = 50.0
         batch = Batch(tokens=np.array([[1, 2, 3]]), labels=np.array([0]))
-        grads = backward(*forward_dlogits(w, batch))
+        grads = backward_new(*forward_dlogits(w, batch))
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total <= 1e-12
 
     def test_unused_vocab_rows_get_exact_zero_gradient(self):
         w = init_weights(SMALL, 5)
         batch = Batch(tokens=np.array([[1, 2, 3, 1]]), labels=np.array([0]))
-        grads = backward(*forward_dlogits(w, batch))
+        grads = backward_new(*forward_dlogits(w, batch))
         used = {1, 2, 3}
         for tok in range(SMALL.vocab_size):
             if tok not in used:
@@ -186,7 +193,7 @@ class TestBackward:
     def test_gradients_follow_tensor_order(self):
         w = extract_submodel(init_weights(SMALL, 5), uniform_spec(SMALL, 0.5))
         batch = small_batch(3)
-        grads = backward(*forward_dlogits(w, batch))
+        grads = backward_new(*forward_dlogits(w, batch))
         assert list(grads) == list(w.tensors)
         assert all(grads[k].shape == v.shape for k, v in w.tensors.items())
 
@@ -199,7 +206,7 @@ class TestBackward:
         backward(*forward_dlogits(w, small_batch(1)), grads.tensors)
         b = Batch(tokens=np.array([[1, 2, 1], [2, 1, 2]]), labels=np.array([0, 2]))
         got = backward(*forward_dlogits(w, b), grads.tensors)
-        want = backward(*forward_dlogits(w, b))
+        want = backward_new(*forward_dlogits(w, b))
         assert got is grads.tensors and np.isfinite(grads.vector).all()
         assert list(got) == list(want)
         for name, g in want.items():
@@ -209,7 +216,7 @@ class TestBackward:
         cache, dlogits = forward_dlogits(init_weights(SMALL, 5), small_batch(3))
         for wrong in (dlogits[:-1], dlogits[:, :-1], dlogits.T, dlogits.ravel()):
             with pytest.raises(ValidationError, match="dlogits has shape"):
-                backward(cache, wrong)
+                backward_new(cache, wrong)
 
     def test_one_einsum_per_weight_gradient_group(self, monkeypatch):
         # per layer: w2, w1, wo, and one for every head's wq/wk/wv
@@ -223,7 +230,7 @@ class TestBackward:
             return einsum(*args, **kwargs)
 
         monkeypatch.setattr(nn.np, "einsum", counting)
-        backward(cache, dlogits)
+        backward_new(cache, dlogits)
         assert len(calls) == 4 * DEEP.n_layers
 
 
@@ -299,7 +306,7 @@ def test_backward_bit_equal_to_per_head_oracle(data):
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 20)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
     cache, dlogits = forward_dlogits(w, batch)
-    got = backward(cache, dlogits)
+    got = backward_new(cache, dlogits)
     want = per_head_backward(cache, dlogits)
     assert list(got) == list(want)
     for name, g in want.items():
@@ -332,7 +339,7 @@ class TestSgdStep:
         # the first of them in tensor order, and neither vector moves
         w = init_weights(SMALL, 5)
         params = flat_of(w.tensors)
-        grads = flat_of(backward(*forward_dlogits(w, small_batch(1))))
+        grads = flat_of(backward_new(*forward_dlogits(w, small_batch(1))))
         names = list(w.tensors)
         middle = names[len(names) // 2]
         grads.tensors[middle].flat[-1] = np.inf
@@ -350,7 +357,7 @@ class TestEvaluate:
         w = zero_weights(SMALL)
         w.tensors["cls.b"][2] = 10.0
         batch = Batch(tokens=np.array([[1, 2], [3, 4]]), labels=np.array([2, 2]))
-        acc, loss = evaluate(w, [batch])
+        acc, loss = evaluate(w, batch)
         assert acc == 1.0 and loss >= 0
 
     def test_random_weights_near_chance(self):
@@ -360,25 +367,18 @@ class TestEvaluate:
         n = 600
         tokens = np.asarray(rng.integers(0, cfg.vocab_size, (n, 6)))
         labels = np.asarray(rng.integers(0, cfg.n_classes, n))
-        acc, _ = evaluate(w, [Batch(tokens=tokens, labels=labels)])
+        acc, _ = evaluate(w, Batch(tokens=tokens, labels=labels))
         assert abs(acc - 0.25) <= 0.1
 
     def test_zero_weights_loss_is_log_classes(self):
         w = zero_weights(SMALL)
-        _, loss = evaluate(w, [small_batch(4)])
+        _, loss = evaluate(w, small_batch(4))
         assert abs(loss - np.log(SMALL.n_classes)) <= 1e-12
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValidationError):
-            evaluate(init_weights(SMALL, 1), [])
-
-    def test_empty_batches_skipped(self):
-        w = init_weights(SMALL, 1)
         empty = Batch(tokens=np.zeros((0, 5), dtype=np.intp), labels=np.zeros(0, dtype=np.intp))
-        batch = small_batch(3)
-        assert evaluate(w, [empty, batch, empty]) == evaluate(w, [batch])
-        with pytest.raises(ValidationError):
-            evaluate(w, [empty])
+        with pytest.raises(ValidationError, match="evaluation batch is empty"):
+            evaluate(init_weights(SMALL, 1), empty)
 
 
 def two_cores(monkeypatch):
@@ -425,15 +425,15 @@ class TestChunkedEvaluate:
         w.tensors["embed"][overflowing] = 1e200 * (-1.0) ** np.arange(SMALL.d_model)
         batch = two_chunk_batch(overflowing)
         with np.errstate(all="raise"):
-            evaluate(w, [Batch(tokens=batch.tokens[:4], labels=batch.labels[:4])])
+            evaluate(w, Batch(tokens=batch.tokens[:4], labels=batch.labels[:4]))
             with pytest.raises(FloatingPointError):
-                evaluate(w, [batch])
+                evaluate(w, batch)
 
     def test_worker_validation_error_reaches_caller(self, monkeypatch):
         two_cores(monkeypatch)
         monkeypatch.setattr(nn, "_EVAL_ROWS", 16)
         with pytest.raises(ValidationError, match="vocabulary"):
-            evaluate(init_weights(SMALL, 3), [two_chunk_batch(SMALL.vocab_size)])
+            evaluate(init_weights(SMALL, 3), two_chunk_batch(SMALL.vocab_size))
 
     def test_threads_are_joined_and_one_chunk_starts_none(self, monkeypatch):
         two_cores(monkeypatch)
@@ -444,36 +444,30 @@ class TestChunkedEvaluate:
         monkeypatch.setattr(threading.Thread, "start",
                             lambda t: (started.append(t), start(t)))
         before = threading.active_count()
-        evaluate(w, [small_batch(4, n=3, seq=4)])  # 12 positions: one chunk
+        evaluate(w, small_batch(4, n=3, seq=4))  # 12 positions: one chunk
         assert started == []
-        evaluate(w, [two_chunk_batch(0)])
+        evaluate(w, two_chunk_batch(0))
         assert len(started) == 1 and threading.active_count() == before
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setattr(nn, "_EVAL_ROWS", 4)
         w = init_weights(SMALL, 3)
-        batches = [small_batch(s, n=20, seq=4) for s in range(3)]  # 60 one-sample chunks
+        batch = small_batch(0, n=60, seq=4)  # 60 one-sample chunks
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = evaluate(w, batches)
+            got = evaluate(w, batch)
         finally:
             sys.setswitchinterval(interval)
-        assert got == cached_evaluate(w, batches)
+        assert got == cached_evaluate(w, batch)
 
 
-def cached_evaluate(w, batches):
-    """evaluate() spelled out over forward passes that keep their cache."""
-    correct = total = 0
-    loss_sum = 0.0
-    for b in batches:
-        logits, _ = forward(w, b)
-        loss, _ = softmax_cross_entropy(logits, b.labels)
-        loss_sum += loss * len(b)
-        correct += int((logits.argmax(axis=1) == b.labels).sum())
-        total += len(b)
-    return correct / total, loss_sum / total
+def cached_evaluate(w, batch):
+    """evaluate() spelled out over a forward pass that keeps its cache."""
+    logits, _ = forward(w, batch)
+    loss, _ = softmax_cross_entropy(logits, batch.labels)
+    return int((logits.argmax(axis=1) == batch.labels).sum()) / len(batch), loss
 
 
 def cache_test_models():
@@ -496,34 +490,34 @@ def test_chunked_evaluate_bit_equal_to_cached_evaluate(data):
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     if data.draw(st.booleans()):
         w = extract_submodel(prioritize_model(w), data.draw(specs(cfg)))
-    batches = [small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 40)),
-                           seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
-               for _ in range(data.draw(st.integers(1, 3)))]
-    rows = data.draw(st.integers(1, 200))  # batches of up to 40 chunks, uneven ones included
+    batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 40)),
+                        seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
+    rows = data.draw(st.integers(1, 200))  # up to 40 chunks, uneven ones included
     cores = data.draw(st.integers(1, 3))
     with mock.patch.object(nn, "_EVAL_ROWS", rows), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cores)), create=True), \
             mock.patch.object(nn, "softmax_cross_entropy", wraps=softmax_cross_entropy) as loss:
-        got = evaluate(w, batches)
-    assert got == cached_evaluate(w, batches)
+        got = evaluate(w, batch)
+    assert got == cached_evaluate(w, batch)
     # the scored logits too, where an ulp that the mean loss absorbs shows
-    for call, b in zip(loss.call_args_list, batches, strict=True):
-        assert call.args[0].tobytes() == forward(w, b)[0].tobytes()
+    (call,) = loss.call_args_list
+    assert call.args[0].tobytes() == forward(w, batch)[0].tobytes()
 
 
 class TestCacheFreeForward:
     @pytest.mark.parametrize("name", ["small", "deep-submodel"])
     def test_evaluate_bit_equal_to_cached_evaluation(self, name):
         w = cache_test_models()[name]
-        batches = [small_batch(s, n=n, seq=6, cfg=w.config) for s, n in ((1, 9), (2, 4))]
-        assert evaluate(w, batches) == cached_evaluate(w, batches)
+        for s, n in ((1, 9), (2, 4)):
+            batch = small_batch(s, n=n, seq=6, cfg=w.config)
+            assert evaluate(w, batch) == cached_evaluate(w, batch)
 
     def test_evaluate_peak_is_under_half_of_cached_forward(self):
         w = init_weights(DEEP, 3)
         batch = small_batch(5, n=64, seq=16, cfg=DEEP)
         tracemalloc.start()
         try:
-            evaluate(w, [batch])
+            evaluate(w, batch)
             _, eval_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             kept = forward(w, batch)

@@ -120,14 +120,14 @@ def test_sampler_equals_scalar_draw_reference_and_consumes_the_same_stream(data)
     assert fast.integers(0, 2 ** 62) == slow.integers(0, 2 ** 62)
 
 
-def test_a_wo_cut_is_one_run_exactly_when_every_head_but_the_last_is_whole():
+def test_a_wo_cut_indexes_each_heads_leading_rows():
     cfg = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=3, d_ff=4,
                       vocab_size=4, n_classes=3, max_seq=4)
     spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((1, 2),))
     wo_rows = slice_plan(spec, full_shapes(cfg))["layer0.wo"][0]
-    assert wo_rows.tolist() == [0, 3, 4]  # head 0 keeps 1 of 3 v channels: not one run
+    assert wo_rows.tolist() == [0, 3, 4]  # head 0 keeps 1 of its 3 rows, head 1 both of its 2
     whole_first = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((3, 2),))
-    assert slice_plan(whole_first, full_shapes(cfg))["layer0.wo"] == (slice(0, 5),)
+    assert slice_plan(whole_first, full_shapes(cfg))["layer0.wo"][0].tolist() == [0, 1, 2, 3, 4]
 
 
 def reference_widths(shapes, n_layers, n_heads):
@@ -164,8 +164,8 @@ def reference_plan(spec, shapes):
             k, hv = tuple(keep[family][i]), have[family][i]
             if h is not None:
                 kept = slice(0, k[h])
-            elif k[:-1] == hv[:-1]:
-                kept = slice(0, sum(k))
+            elif len(k) == 1:  # ffn's one width, or wo's of a one-head layer
+                kept = slice(0, k[0])
             else:
                 kept = reference_stack([range(n) for n in k], hv)
             plan[name] = (slice(None),) * axis + (kept,)
