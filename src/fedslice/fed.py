@@ -10,18 +10,21 @@ width for that slot. So fusion keeps only the specs, and counts coverage
 from them once, at the end of the round (`scaling.coverage`). With
 full-width specs this reduces exactly to FedAvg.
 
-Participants are handled one at a time: each one's sub-model is sliced
-from the prioritized global straight into one vector (`nn.Flat`) just
-before it trains, trained there in place, added into the round's running
-sums (a `Fold`) and freed before the next one is extracted, so a round
-holds one sub-model at a time. A second vector of the sub-model's layout
-holds the gradients: every step writes its gradients into it and updates
-the sub-model in place. During training a round therefore holds three
-full-size copies of the weights (the previous global, its prioritized copy
-and the sums) besides one client's vectors and activations. The sums are
-divided once, at the end, in place: they become the new global. The fold
-and the prioritized copy are freed before evaluation, which then runs
-beside only the previous and the new global.
+Prioritization yields an order, one index per cut tensor, not a permuted
+copy of the weights. Participants are handled one at a time: each one's
+sub-model is gathered from the global through that order straight into
+one vector (`nn.Flat`) just before it trains, trained there in place,
+added into the round's running sums (a `Fold`) and freed before the next
+one is extracted, so a round holds one sub-model at a time. A second
+vector of the sub-model's layout holds the gradients: every step writes
+its gradients into it and updates the sub-model in place, and `backward`
+frees each layer's activations as it finishes with them. During training a
+round therefore holds two full-size copies of the weights (the previous
+global and the sums) besides one client's vectors and activations. The sums
+are divided once, at the end, in place: they become the new global, in
+prioritized order, with each uncovered coordinate taken from the previous
+global through the order. The fold is freed before evaluation, which then
+runs beside only the previous and the new global.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -42,7 +45,7 @@ from .nn import (Batch, Flat, ModelConfig, ModelWeights, backward, evaluate, for
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
-                      submodel_shapes)
+                      submodel_shapes, take_prioritized)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -114,13 +117,15 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
-def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> Flat:
-    """The spec's sub-model of `w` after local_epochs full passes of SGD over
-    the shard, fixed batch order. The sub-model is extracted once, into one
-    vector (`nn.Flat`), and trained there in place; `w` is left as it is.
-    Each step's backward writes its gradients into a second vector of the
-    same layout, and both vectors are reused by every step."""
-    params = extract_submodel(w, spec)
+def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile,
+                order: dict) -> Flat:
+    """The spec's sub-model of `w` taken through `order` (see
+    `extract_submodel`) after local_epochs full passes of SGD over the shard,
+    fixed batch order. The sub-model is extracted once, into one vector
+    (`nn.Flat`), and trained there in place; `w` is left as it is. Each
+    step's backward writes its gradients into a second vector of the same
+    layout, and both vectors are reused by every step."""
+    params = extract_submodel(w, spec, order)
     grads = Flat(w.config, {name: arr.shape for name, arr in params.tensors.items()})
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
@@ -136,27 +141,32 @@ def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> 
 
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
-    prioritized global), the per-tensor sums of the updates added so far,
-    and their specs. A fold is merged once: merging turns its sums into
-    the merged weights in place, and the fold takes no update after that."""
+    global) and the order that prioritizes them, the per-tensor sums of the
+    updates added so far, in prioritized order, and their specs. A fold is
+    merged once: merging turns its sums into the merged weights in place,
+    and the fold takes no update after that."""
 
-    def __init__(self, base: ModelWeights):
+    def __init__(self, base: ModelWeights, order: dict):
         self.base = base
+        self.order = order
         self.shapes = {name: arr.shape for name, arr in base.tensors.items()}
         self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
         self.specs = []
 
     def merged(self) -> ModelWeights:
-        """Per-coordinate mean over the covering updates; uncovered
-        coordinates keep the base value. The sums are divided in place and
-        become the returned weights' tensors, so no other model-sized array
-        is made."""
+        """Per-coordinate mean over the covering updates; an uncovered
+        coordinate keeps the base value there in prioritized order. The sums
+        are divided in place and become the returned weights' tensors; a
+        tensor with an uncovered coordinate takes its base through the order
+        into one temporary, so no other model-sized array is made."""
         sums = self._open_sums()
         self.sums = None
         cfg = self.base.config
         for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
             np.divide(sums[name], c, out=sums[name], where=c > 0)
-            np.copyto(sums[name], self.base.tensors[name], where=c == 0)
+            if not np.all(c > 0):
+                np.copyto(sums[name], take_prioritized(self.base, name, self.order),
+                          where=c == 0)
         return ModelWeights(cfg, sums)
 
     def _open_sums(self) -> dict[str, np.ndarray]:
@@ -187,14 +197,14 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
     t0 = time.monotonic()
     seed = cfg.master_seed
 
-    prioritized = prioritize_model(global_w, permute_qk=cfg.permute_qk,
-                                   permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
+    order = prioritize_model(global_w, permute_qk=cfg.permute_qk,
+                             permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
 
     select_rng = RngStream(seed, STREAM_SELECT + t)
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
     model_cfg = global_w.config
-    fold = Fold(prioritized)
+    fold = Fold(global_w, order)
     client_specs, dropped = [], []
     bytes_down = bytes_up = 0
     for cid in participants:
@@ -209,7 +219,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         client_specs.append({"client_id": cid, "spec": spec.to_dict(),
                              "param_count": n_params})
         try:
-            trained = local_train(prioritized, spec, profile)
+            trained = local_train(global_w, spec, profile, order)
         except NumericError as exc:
             dropped.append({"client_id": cid, "reason": str(exc)})
             continue
@@ -218,7 +228,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         bytes_up += n_params * BYTES_PER_PARAM
 
     new_global = fold.merged() if fold.specs else global_w
-    del fold, prioritized  # the round's sums and prioritized copy, before evaluation
+    del fold  # the round's sums, before evaluation
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)

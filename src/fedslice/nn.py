@@ -198,10 +198,11 @@ def _layer_norm_backward(dy: np.ndarray, scale: np.ndarray, ln_cache):
 
 @dataclass
 class _LayerCache:
-    """The activations of one layer that `backward` reads. The layer norms'
-    outputs a1 and a2 are not kept: `backward` recomputes each from its
-    cached (xhat, inv_std) as `scale * xhat + shift`, the expression
-    `_layer_norm` used, so bit for bit the forward's values."""
+    """The activations of one layer that `backward` reads, each dropped by
+    `backward` once read. The layer norms' outputs a1 and a2 are not kept:
+    `backward` recomputes each from its cached (xhat, inv_std) as
+    `scale * xhat + shift`, the expression `_layer_norm` used, so bit for
+    bit the forward's values."""
     ln1: tuple | None = None
     q: list = field(default_factory=list)
     k: list = field(default_factory=list)
@@ -214,6 +215,9 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
+    """What `backward` reads of one forward pass. `backward` consumes it:
+    it pops each layer's `_LayerCache` off `layers` as it starts that
+    layer, so a cache serves one backward."""
     weights: ModelWeights
     batch: Batch
     layers: list
@@ -288,7 +292,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     if labels.shape != (n,) or labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
         raise ValidationError(f"labels must be {n} class ids in [0, {n_classes})")
     probs = _softmax(logits)
-    loss = -np.log(probs[np.arange(n), labels]).mean()
+    with np.errstate(divide="ignore"):  # an underflowed probability gives an inf loss
+        loss = -np.log(probs[np.arange(n), labels]).mean()
     probs[np.arange(n), labels] -= 1.0  # now d(loss)/d(logits) times n
     return float(loss), probs / n
 
@@ -301,6 +306,13 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     Each gradient is written into its array in `grads`, which must have the
     weights' names and shapes (a `Flat`'s tensors, say); every value there
     is overwritten.
+
+    The cache is consumed: each layer's activations are popped off
+    `cache.layers` when that layer starts and dropped as soon as they have
+    been read (the ReLU output and second layer norm's after the FFN block,
+    o_cat once d(o_cat) is made, each head's q/k/v/probs after that head),
+    and so are the FFN block's temporaries, so no finished layer's
+    activations live on while the next layer allocates.
 
     The layer norms' outputs a1 and a2 are recomputed from the cache (see
     `_LayerCache`). A layer's wq/wk/wv gradients are column slices of one
@@ -326,25 +338,31 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     dx = np.repeat(dpooled[:, None, :], seq_len, axis=1) / seq_len
 
     for i in reversed(range(cfg.n_layers)):
-        lc = cache.layers[i]
+        lc = cache.layers.pop()  # layer i's
         # FFN block: x_out = x2 + relu(a2 w1 + b1) w2 + b2
         dx.sum(axis=(0, 1), out=grads[f"layer{i}.b2"])
         np.einsum("blf,bld->fd", lc.relu, dx, out=grads[f"layer{i}.w2"])
-        drelu = dx @ w[f"layer{i}.w2"].T
-        dh1 = drelu * (lc.relu > 0)  # relu(h1) > 0 exactly where h1 > 0
+        dh1 = dx @ w[f"layer{i}.w2"].T
+        dh1 *= lc.relu > 0  # relu(h1) > 0 exactly where h1 > 0
+        lc.relu = None
         a2 = w[f"layer{i}.ln2.scale"] * lc.ln2[0] + w[f"layer{i}.ln2.shift"]
         np.einsum("bld,blf->df", a2, dh1, out=grads[f"layer{i}.w1"])
         del a2
         dh1.sum(axis=(0, 1), out=grads[f"layer{i}.b1"])
         da2 = dh1 @ w[f"layer{i}.w1"].T
-        dx2_ln, dsc2, dsh2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], lc.ln2)
+        del dh1
+        dx2, dsc2, dsh2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], lc.ln2)
+        lc.ln2 = None
+        del da2
         np.copyto(grads[f"layer{i}.ln2.scale"], dsc2)
         np.copyto(grads[f"layer{i}.ln2.shift"], dsh2)
-        dx2 = dx + dx2_ln
+        dx2 += dx  # add the residual path: dx2 = dx + the ln2 path's gradient
+        del dx
 
         # attention block: x2 = x_in + o_cat wo + bo
         dx2.sum(axis=(0, 1), out=grads[f"layer{i}.bo"])
         np.einsum("blc,bld->cd", lc.o_cat, dx2, out=grads[f"layer{i}.wo"])
+        lc.o_cat = None
         do_cat = dx2 @ w[f"layer{i}.wo"].T
 
         xhat1 = lc.ln1[0]
@@ -373,6 +391,9 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
                 d_proj[..., end:end + d.shape[-1]] = d
                 end += d.shape[-1]
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
+            lc.q[h] = lc.k[h] = lc.v[h] = lc.probs[h] = None
+            del probs, dprobs, dscores, dq, dk, dv
+        del do_cat, do_h
 
         a1 = w[f"layer{i}.ln1.scale"] * xhat1 + w[f"layer{i}.ln1.shift"]
         d_cat = np.einsum("bld,blk->dk", a1, d_proj)
@@ -382,10 +403,12 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
             np.copyto(grads[name], d_cat[:, end:end + w[name].shape[1]])
             end += w[name].shape[1]
 
-        dx_ln, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
+        dx, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
+        del lc, xhat1, da1
         np.copyto(grads[f"layer{i}.ln1.scale"], dsc1)
         np.copyto(grads[f"layer{i}.ln1.shift"], dsh1)
-        dx = dx2 + dx_ln
+        dx += dx2  # add the residual path: dx = dx2 + the ln1 path's gradient
+        del dx2
 
     grads["embed"].fill(0.0)
     np.add.at(grads["embed"], cache.batch.tokens, dx)

@@ -1,12 +1,14 @@
 """Salience scoring, channel prioritization, and budget-constrained sub-model extraction.
 
 A "channel" is an output column of a weight matrix (one hidden unit).
-Prioritization reorders channels so the highest-L1-salience ones lead the
-matrix; extraction then keeps the leading columns, so any width cut retains
-the most salient units. Query/key columns of one attention head are always
-permuted by the same ranking, which leaves the head's attention scores
-unchanged; value/output and FFN permutations are mirrored on the consuming
-matrix's rows, which preserves the full forward function exactly.
+Prioritization ranks channels so the highest-L1-salience ones come first:
+it returns that order, one index per cut tensor, not a permuted copy of
+the weights. Extraction keeps the leading channels in that order, so any
+width cut retains the most salient units. Query/key columns of one
+attention head are always ordered by the same ranking, which leaves the
+head's attention scores unchanged; value/output and FFN orders are mirrored
+on the consuming matrix's rows, which preserves the full forward function
+exactly.
 
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
@@ -99,6 +101,7 @@ class _Layout(NamedTuple):
     slots: tuple    # (family, layer, head) per width of a spec; head is None per layer
     cuts: tuple     # (tensor, axis, indices of the slots laid end to end along axis)
     sources: tuple  # (tensor, axis) per slot: where a model's own width is read
+    axes: dict      # tensor -> its cut axis
 
 
 @functools.lru_cache(maxsize=16)
@@ -121,7 +124,8 @@ def _layout(n_layers: int, n_heads: int) -> _Layout:
                 cuts.append((name, axis, js))
                 if len(js) == 1:
                     sources.setdefault(js[0], (name, axis))
-    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))))
+    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))),
+                   {name: axis for name, axis, _ in cuts})
 
 
 def _flat(spec: SubmodelSpec) -> list:
@@ -178,14 +182,17 @@ def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
 
 
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
-                     permute_ffn: bool = True) -> ModelWeights:
-    """Reorder channels by salience, function-preservingly.
+                     permute_ffn: bool = True) -> dict[str, np.ndarray]:
+    """The salience order of every tensor CUTS names: an ``intp``
+    permutation of its cut axis that puts the most salient channels first,
+    so taking the weights through it prioritizes them function-preservingly.
 
-    Per head the SAME joint-salience permutation goes to W^q and W^k columns
-    (and their biases). With permute_vo, a per-head W^v column permutation is
-    mirrored on the matching W^o rows; with permute_ffn, the W^1 column
-    permutation is mirrored on W^2 rows. Each permutation moves its family's
-    channels along the axes CUTS gives, so a cut keeps the most salient ones.
+    Per head the SAME joint-salience permutation orders W^q and W^k columns
+    (and their biases). With permute_vo, a per-head W^v column permutation
+    also orders the matching W^o rows; with permute_ffn, the W^1 column
+    permutation also orders W^2 rows. A family left unpermuted keeps the
+    identity order. The weights are not copied: `extract_submodel` and
+    `fed.Fold` gather through the order.
     """
     cfg = w.config
     layout = _layout(cfg.n_layers, cfg.n_heads)
@@ -200,12 +207,19 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
         elif family == "ffn" and permute_ffn:
             perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
         else:
-            perms.append(np.arange(n))
-    cut = {name: np.take(w[name], perms[js[0]] if len(js) == 1 else
-                         _stack([perms[j] for j in js], [have[j] for j in js]), axis=axis)
-           for name, axis, js in layout.cuts}
-    return ModelWeights(cfg, {name: cut[name] if name in cut else arr.copy()
-                              for name, arr in w.tensors.items()})
+            perms.append(np.arange(n, dtype=np.intp))
+    return {name: perms[js[0]] if len(js) == 1 else
+            _stack([perms[j] for j in js], [have[j] for j in js])
+            for name, _, js in layout.cuts}
+
+
+def take_prioritized(w: ModelWeights, name: str, order: dict) -> np.ndarray:
+    """Tensor `name` of `w` taken through `order` along its cut axis (a new
+    array), or the tensor itself if it is not cut."""
+    if name not in order:
+        return w[name]
+    axes = _layout(w.config.n_layers, w.config.n_heads).axes
+    return np.take(w[name], order[name], axis=axes[name])
 
 
 def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
@@ -339,16 +353,23 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     return out
 
 
-def extract_submodel(w_prioritized: ModelWeights, spec: SubmodelSpec) -> Flat:
-    """Copy out the coordinates the spec keeps, the leading channels of
-    every cut tensor, into one new vector (a `Flat`)."""
-    spec.validate(w_prioritized.config)
-    src = w_prioritized.tensors
+def extract_submodel(w: ModelWeights, spec: SubmodelSpec, order: dict) -> Flat:
+    """Copy out the coordinates the spec keeps into one new vector (a
+    `Flat`): the leading channels of every cut tensor of `w` in `order`
+    (`prioritize_model`'s), and every other tensor whole. A kept block is
+    gathered straight into its view, bit for bit a slice of the weights
+    permuted by the order."""
+    spec.validate(w.config)
+    src = w.tensors
     shapes = {name: arr.shape for name, arr in src.items()}
     plan = slice_plan(spec, shapes)
-    sub = Flat(w_prioritized.config, submodel_shapes(spec, shapes))
+    sub = Flat(w.config, submodel_shapes(spec, shapes))
     for name, idx in plan.items():
-        np.copyto(sub.tensors[name], src[name][idx])
+        if not idx:
+            np.copyto(sub.tensors[name], src[name])
+        else:  # mode="clip" writes straight into out (the order is in range)
+            np.take(src[name], order[name][idx[-1]], axis=len(idx) - 1,
+                    out=sub.tensors[name], mode="clip")
     return sub
 
 
@@ -356,6 +377,7 @@ __all__ = [
     "ResourceBudget", "SubmodelSpec",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
+    "take_prioritized",
     "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "submodel_shapes",
     "coverage", "spec_of",
 ]

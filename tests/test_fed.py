@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice import fed, nn
-from fedslice.errors import AggregationError, ConfigError, ValidationError
+from fedslice.errors import AggregationError, ConfigError, NumericError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
@@ -18,7 +19,7 @@ from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
 from fedslice.tensor import RngStream
 
 from test_nn import backward_new
-from test_slice_plan import configs, specs
+from test_slice_plan import configs, cut_axes, identity_order, prioritized, specs
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
@@ -51,13 +52,14 @@ def random_spec(cfg, rng):
 
 def random_update(cfg, spec, rng):
     """Weights with the sub-model shapes the spec implies, random values."""
-    sub = extract_submodel(init_weights(cfg, 0), spec)
+    w = init_weights(cfg, 0)
+    sub = extract_submodel(w, spec, identity_order(w))
     return ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in sub.tensors.items()})
 
 
 def fold_all(global_w, updates):
     """The merge of one fold that adds every update in one aggregate call."""
-    fold = Fold(global_w)
+    fold = Fold(global_w, identity_order(global_w))
     aggregate(fold, updates)
     return fold.merged()
 
@@ -142,13 +144,13 @@ class TestLocalTrain:
     def test_zero_epochs_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, local_epochs=0)[0]
-        out = local_train(w, full_spec(TINY), p)
+        out = local_train(w, full_spec(TINY), p, identity_order(w))
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_zero_lr_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, lr=0.0)[0]
-        out = local_train(w, full_spec(TINY), p)
+        out = local_train(w, full_spec(TINY), p, identity_order(w))
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_one_epoch_single_batch_equals_one_sgd_step(self):
@@ -156,7 +158,7 @@ class TestLocalTrain:
         batch = tiny_batch(0, n=1)
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[batch], local_epochs=1, lr=0.2)
-        out = local_train(w, full_spec(TINY), p)
+        out = local_train(w, full_spec(TINY), p, identity_order(w))
         logits, cache = forward(w, batch)
         _, dlogits = softmax_cross_entropy(logits, batch.labels)
         g = backward_new(cache, dlogits)
@@ -173,7 +175,8 @@ class TestLocalTrain:
             monkeypatch.setattr(module, "softmax_cross_entropy", counting)
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(s) for s in range(3)], local_epochs=2, lr=0.1)
-        local_train(init_weights(TINY, 3), full_spec(TINY), p)
+        w = init_weights(TINY, 3)
+        local_train(w, full_spec(TINY), p, identity_order(w))
         assert len(calls) == 2 * 3
 
     def test_trains_its_one_extraction_in_place(self, monkeypatch):
@@ -182,8 +185,8 @@ class TestLocalTrain:
         extracted, flats = [], []
         real_extract, real_flat = fed.extract_submodel, nn.Flat.__init__
 
-        def extract(w, spec):
-            extracted.append(real_extract(w, spec))
+        def extract(w, spec, order):
+            extracted.append(real_extract(w, spec, order))
             return extracted[-1]
 
         def counting_flat(self, *args):
@@ -192,14 +195,15 @@ class TestLocalTrain:
 
         monkeypatch.setattr(fed, "extract_submodel", extract)
         monkeypatch.setattr(nn.Flat, "__init__", counting_flat)
-        w = prioritize_model(init_weights(TINY, 1))
+        w = init_weights(TINY, 1)
+        order = prioritize_model(w)
         before = {k: v.tobytes() for k, v in w.tensors.items()}
         spec = SubmodelSpec(ffn_widths=(3,), qk_widths=((2, 4),), v_widths=((1, 2),))
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(0), tiny_batch(1)], local_epochs=2, lr=0.1)
-        out = local_train(w, spec, p)
+        out = local_train(w, spec, p, order)
         assert len(extracted) == 1 and out is extracted[0] and len(flats) == 2
-        assert out.vector.tobytes() != real_extract(w, spec).vector.tobytes()
+        assert out.vector.tobytes() != real_extract(w, spec, order).vector.tobytes()
         assert {k: v.tobytes() for k, v in w.tensors.items()} == before
 
     def test_non_finite_gradient_drops_the_client_naming_the_tensor(self, monkeypatch):
@@ -220,6 +224,19 @@ class TestLocalTrain:
         assert rec.dropped == [{"client_id": c, "reason": reason} for c in rec.participants]
         assert new is w0
 
+    def test_underflowed_loss_drops_the_client(self):
+        # the label's probability underflows to 0 in the second epoch: the
+        # loss is inf, with no numpy warning, and the client is dropped
+        cfg = ModelConfig(n_layers=2, d_model=3, n_heads=1, d_k=1, d_v=1, d_ff=1,
+                          vocab_size=1, n_classes=2, max_seq=3)
+        spec = SubmodelSpec(ffn_widths=(1, 1), qk_widths=((1,), (1,)), v_widths=((1,), (1,)))
+        profile = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
+                                shard=[tiny_batch(0, n=1, cfg=cfg)] * 2, local_epochs=2,
+                                lr=1.0)
+        w = init_weights(cfg, 0)
+        with pytest.raises(NumericError, match="client 0: non-finite loss"):
+            local_train(w, spec, profile, prioritize_model(w))
+
     def test_empty_shard_rejected(self):
         with pytest.raises(ValidationError):
             ClientProfile(client_id=0, budget=ResourceBudget(1), shard=[],
@@ -230,20 +247,27 @@ class TestLocalTrain:
 @given(st.data())
 def test_local_train_bit_equal_to_out_of_place_sgd(data):
     cfg = replace(data.draw(configs()), max_seq=3)
-    w = prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99))))
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    order = prioritize_model(w)
     spec = data.draw(specs(cfg))
     shard = [tiny_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 5)), cfg=cfg)
              for _ in range(data.draw(st.integers(1, 3)))]
     epochs, lr = data.draw(st.integers(1, 2)), data.draw(st.floats(0.0, 1.0))
     before = {k: v.tobytes() for k, v in w.tensors.items()}
-    got = local_train(w, spec, ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
-                                             shard=shard, local_epochs=epochs, lr=lr))
-    want = extract_submodel(w, spec).tensors
+    profile = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
+                            shard=shard, local_epochs=epochs, lr=lr)
+    want = extract_submodel(w, spec, order).tensors
     for _ in range(epochs):
         for batch in shard:
             logits, cache = forward(ModelWeights(cfg, want), batch)
-            g = backward_new(cache, softmax_cross_entropy(logits, batch.labels)[1])
+            loss, dlogits = softmax_cross_entropy(logits, batch.labels)
+            if not np.isfinite(loss):  # underflowed: local_train drops the client here
+                with pytest.raises(NumericError):
+                    local_train(w, spec, profile, order)
+                return
+            g = backward_new(cache, dlogits)
             want = {k: a - lr * g[k] for k, a in want.items()}
+    got = local_train(w, spec, profile, order)
     assert {k: v.tobytes() for k, v in w.tensors.items()} == before
     assert list(got.tensors) == list(want)
     for k, v in want.items():
@@ -295,7 +319,7 @@ class TestAggregate:
                    for s in data.draw(st.lists(specs(cfg), min_size=1, max_size=4))]
         g = init_weights(cfg, 1)
         out = fold_all(g, updates)
-        one_at_a_time = Fold(g)
+        one_at_a_time = Fold(g, identity_order(g))
         for update in updates:
             aggregate(one_at_a_time, [update])
         streamed = one_at_a_time.merged()
@@ -320,7 +344,7 @@ class TestAggregate:
     def test_a_fold_merges_once_and_takes_no_update_after(self):
         g = init_weights(TINY, 1)
         update = (full_spec(TINY), init_weights(TINY, 2))
-        fold = Fold(g)
+        fold = Fold(g, identity_order(g))
         aggregate(fold, [update])
         out = fold.merged()
         before = {k: v.tobytes() for k, v in out.tensors.items()}
@@ -335,7 +359,7 @@ class TestAggregate:
         good = [(full_spec(TINY), init_weights(TINY, 2)), (full_spec(TINY), init_weights(TINY, 3))]
         bad = init_weights(TINY, 4)
         bad.tensors["cls.b"] = np.zeros(TINY.n_classes + 1)  # the last tensor checked
-        fold = Fold(g)
+        fold = Fold(g, identity_order(g))
         aggregate(fold, good[:1])
         with pytest.raises(AggregationError):
             aggregate(fold, [(full_spec(TINY), bad)])
@@ -413,7 +437,7 @@ class TestRounds:
         # With prioritization on, a round where every client is dropped must
         # still return the previous global weights, not their prioritized copy.
         w0 = init_weights(TINY, fed_cfg().master_seed)
-        assert any(not np.array_equal(w0.tensors[k], prioritize_model(w0).tensors[k])
+        assert any(not np.array_equal(w0.tensors[k], prioritized(w0).tensors[k])
                    for k in w0.tensors)
         for permute in (False, True):
             profiles = make_profiles(TINY, 2, lr=1e300, local_epochs=2)
@@ -429,13 +453,13 @@ class TestRounds:
         events = []
         real_extract, real_train = fed.extract_submodel, fed.local_train
 
-        def extract(w, spec):
+        def extract(w, spec, order):
             events.append(("extract", spec.to_dict()))
-            return real_extract(w, spec)
+            return real_extract(w, spec, order)
 
-        def train(w, spec, profile):
+        def train(w, spec, profile, order):
             events.append(("train", profile.client_id))
-            out = real_train(w, spec, profile)
+            out = real_train(w, spec, profile, order)
             events.append(("trained", profile.client_id))
             return out
 
@@ -456,12 +480,12 @@ class TestRounds:
         real_extract, real_train, real_aggregate = (fed.extract_submodel, fed.local_train,
                                                     fed.aggregate)
 
-        def extract(w, spec):
+        def extract(w, spec, order):
             alive.append([ref() is not None for ref in refs])
-            return real_extract(w, spec)
+            return real_extract(w, spec, order)
 
-        def train(w, spec, profile):
-            trained = real_train(w, spec, profile)
+        def train(w, spec, profile, order):
+            trained = real_train(w, spec, profile, order)
             refs.append(weakref.ref(trained))
             return trained
 
@@ -483,24 +507,51 @@ class TestRounds:
         assert alive == [[], [False], [False], [False, False]]
         assert all(ref() is None for ref in refs)
 
-    def test_prioritized_copy_is_freed_before_evaluation(self, monkeypatch):
-        refs, evaluated = [], []
-        real_prioritize, real_evaluate = fed.prioritize_model, fed.evaluate
+    def test_a_round_prioritizes_by_integer_permutations_not_a_copy(self, monkeypatch):
+        orders = []
+        real_prioritize = fed.prioritize_model
 
         def prioritize(w, **kw):
-            out = real_prioritize(w, **kw)
-            refs.append(weakref.ref(out))
-            return out
-
-        def evaluate(w, batch):
-            evaluated.append([ref() is None for ref in refs])
-            return real_evaluate(w, batch)
+            orders.append(real_prioritize(w, **kw))
+            return orders[-1]
 
         monkeypatch.setattr(fed, "prioritize_model", prioritize)
-        monkeypatch.setattr(fed, "evaluate", evaluate)
-        cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2, eval_every=1)
-        run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batch=tiny_batch(7, n=6))
-        assert evaluated == [[True], [True, True]]
+        cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2)
+        run_federation(cfg, TINY, make_profiles(TINY, 4))
+        axes = cut_axes(TINY)
+        shapes = nn.full_shapes(TINY)
+        assert len(orders) == cfg.rounds
+        for order in orders:
+            assert set(order) == set(axes)
+            for name, perm in order.items():
+                assert isinstance(perm, np.ndarray) and perm.dtype == np.intp, name
+                assert sorted(perm.tolist()) == list(range(shapes[name][axes[name]])), name
+
+    def test_round_holds_two_model_copies_while_clients_train(self, monkeypatch):
+        # outside each local_train, the round holds the global and the sums:
+        # no prioritized copy
+        cfg_model = ModelConfig(n_layers=2, d_model=64, n_heads=2, d_k=16, d_v=16, d_ff=128,
+                                vocab_size=8, n_classes=3, max_seq=4)
+        profiles = [ClientProfile(client_id=i, budget=ResourceBudget(10 ** 9),
+                                  shard=[tiny_batch(100 + i, cfg=cfg_model)], local_epochs=1,
+                                  lr=0.1) for i in range(2)]
+        held = []
+        real_train = fed.local_train
+
+        def train(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_train(*args)
+
+        monkeypatch.setattr(fed, "local_train", train)
+        cfg = fed_cfg(n_clients=2, ratio_set=(0.5, 1.0), rounds=1)
+        tracemalloc.start()
+        try:
+            w = init_weights(cfg_model, cfg.master_seed)
+            run_round(w, 0, profiles, cfg)
+        finally:
+            tracemalloc.stop()
+        model_bytes = w.param_total() * 8
+        assert len(held) == 2 and max(held) < 2.5 * model_bytes
 
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))

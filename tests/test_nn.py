@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from fedslice.nn import (Batch, Flat, ModelConfig, ModelWeights, attention_score
                          softmax_cross_entropy)
 from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
 from fedslice.tensor import RngStream
-from test_slice_plan import specs
+from test_slice_plan import identity_order, specs
 
 SMALL = ModelConfig(n_layers=1, d_model=6, n_heads=2, d_k=3, d_v=3, d_ff=8,
                     vocab_size=11, n_classes=3, max_seq=8)
@@ -191,7 +192,8 @@ class TestBackward:
                 assert np.array_equal(grads["embed"][tok], np.zeros(SMALL.d_model))
 
     def test_gradients_follow_tensor_order(self):
-        w = extract_submodel(init_weights(SMALL, 5), uniform_spec(SMALL, 0.5))
+        w = init_weights(SMALL, 5)
+        w = extract_submodel(w, uniform_spec(SMALL, 0.5), identity_order(w))
         batch = small_batch(3)
         grads = backward_new(*forward_dlogits(w, batch))
         assert list(grads) == list(w.tensors)
@@ -220,7 +222,8 @@ class TestBackward:
 
     def test_one_einsum_per_weight_gradient_group(self, monkeypatch):
         # per layer: w2, w1, wo, and one for every head's wq/wk/wv
-        w = extract_submodel(prioritize_model(init_weights(DEEP, 4)), uniform_spec(DEEP, 0.5))
+        w = extract_submodel(init_weights(DEEP, 4), uniform_spec(DEEP, 0.5),
+                             prioritize_model(init_weights(DEEP, 4)))
         cache, dlogits = forward_dlogits(w, small_batch(4, cfg=DEEP))
         calls = []
         einsum = np.einsum
@@ -232,6 +235,22 @@ class TestBackward:
         monkeypatch.setattr(nn.np, "einsum", counting)
         backward_new(cache, dlogits)
         assert len(calls) == 4 * DEEP.n_layers
+
+
+    def test_consumes_its_cache_layer_by_layer(self, monkeypatch):
+        cache, dlogits = forward_dlogits(init_weights(DEEP, 4), small_batch(4, cfg=DEEP))
+        top_relu = weakref.ref(cache.layers[-1].relu)
+        alive = []  # per layer-norm backward call: the top layer's relu still alive?
+        real = nn._layer_norm_backward
+
+        def watching(*args):
+            alive.append(top_relu() is not None)
+            return real(*args)
+
+        monkeypatch.setattr(nn, "_layer_norm_backward", watching)
+        backward_new(cache, dlogits)
+        assert cache.layers == []
+        assert len(alive) == 2 * DEEP.n_layers and alive[-2:] == [False, False]
 
 
 def layer_norm_output(w, prefix, ln_cache):
@@ -302,12 +321,13 @@ def test_backward_bit_equal_to_per_head_oracle(data):
                       d_v=data.draw(st.integers(1, 9)), d_ff=data.draw(st.integers(1, 12)),
                       vocab_size=5, n_classes=data.draw(st.integers(1, 4)), max_seq=9)
     spec = data.draw(specs(cfg))  # head widths down to 1
-    w = extract_submodel(prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99)))), spec)
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    w = extract_submodel(w, spec, prioritize_model(w))
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 20)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
     cache, dlogits = forward_dlogits(w, batch)
+    want = per_head_backward(cache, dlogits)  # first: backward consumes the cache
     got = backward_new(cache, dlogits)
-    want = per_head_backward(cache, dlogits)
     assert list(got) == list(want)
     for name, g in want.items():
         assert got[name].shape == g.shape and got[name].tobytes() == g.tobytes(), name
@@ -475,7 +495,7 @@ def cache_test_models():
     w = init_weights(DEEP, 8)
     spec = uniform_spec(DEEP, 0.5)
     return {"small": init_weights(SMALL, 2),
-            "deep-submodel": extract_submodel(prioritize_model(w), spec)}
+            "deep-submodel": extract_submodel(w, spec, prioritize_model(w))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,7 +509,7 @@ def test_chunked_evaluate_bit_equal_to_cached_evaluate(data):
                       vocab_size=5, n_classes=data.draw(st.integers(1, 9)), max_seq=32)
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     if data.draw(st.booleans()):
-        w = extract_submodel(prioritize_model(w), data.draw(specs(cfg)))
+        w = extract_submodel(w, data.draw(specs(cfg)), prioritize_model(w))
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 40)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
     rows = data.draw(st.integers(1, 200))  # up to 40 chunks, uneven ones included

@@ -1,6 +1,7 @@
 """Property tests: slicing, fusion and parameter counts select the same
 coordinates, because all three read one slice plan."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,19 @@ from fedslice.tensor import RngStream
 
 def copy_weights(w):
     return ModelWeights(w.config, {k: v.copy() for k, v in w.tensors.items()})
+
+
+def identity_order(w):
+    """The order that takes every channel of w where it is."""
+    return prioritize_model(w, permute_qk=False, permute_vo=False, permute_ffn=False)
+
+
+def prioritized(w, *flags):
+    """w (a model or a sub-model) prioritized: all of it, taken through its
+    salience order."""
+    shapes = {k: v.shape for k, v in w.tensors.items()}
+    return extract_submodel(w, spec_of(shapes, w.config.n_layers, w.config.n_heads),
+                            prioritize_model(w, *flags))
 
 
 @st.composite
@@ -48,12 +62,11 @@ def specs(cfg, within=None):
 def test_count_extract_and_coverage_agree(data):
     cfg = data.draw(configs())
     spec = data.draw(specs(cfg))
-    prioritized = prioritize_model(init_weights(cfg, data.draw(st.integers(0, 99))))
-    sub = extract_submodel(prioritized, spec)
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    sub = extract_submodel(w, spec, prioritize_model(w))
     # a NaN global: exactly the coordinates the update covers become finite
-    nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan)
-                                    for k, v in prioritized.tensors.items()})
-    fold = Fold(nan_global)
+    nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan) for k, v in w.tensors.items()})
+    fold = Fold(nan_global, identity_order(nan_global))
     aggregate(fold, [(spec, sub)])
     merged = fold.merged()
     covered = sum(int(np.isfinite(v).sum()) for v in merged.tensors.values())
@@ -68,8 +81,9 @@ def test_nested_extraction_equals_direct(data):
     outer = data.draw(specs(cfg))
     inner = data.draw(specs(cfg, within=outer))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    nested = extract_submodel(extract_submodel(w, outer), inner)
-    direct = extract_submodel(w, inner)
+    outer_sub = extract_submodel(w, outer, identity_order(w))
+    nested = extract_submodel(outer_sub, inner, identity_order(outer_sub))
+    direct = extract_submodel(w, inner, identity_order(w))
     assert nested.tensors.keys() == direct.tensors.keys()
     assert all(np.array_equal(nested[k], direct[k]) for k in direct.tensors)
 
@@ -83,7 +97,7 @@ def test_prioritized_extraction_of_a_sampled_spec_fits_the_budget(data):
                                                   param_count(full_spec(cfg), cfg))))
     spec = sample_submodel_spec(cfg, budget, ratios, RngStream(data.draw(st.integers(0, 99))))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    assert extract_submodel(prioritize_model(w), spec).param_total() <= budget.max_params
+    assert extract_submodel(w, spec, prioritize_model(w)).param_total() <= budget.max_params
 
 
 def reference_sample(cfg, budget, ratio_set, rng):
@@ -172,10 +186,11 @@ def reference_plan(spec, shapes):
     return plan
 
 
-def reference_prioritize(w, permute_qk, permute_vo, permute_ffn):
-    """Prioritization layer by layer, with a branch per head tensor."""
+def reference_order(w, permute_qk, permute_vo, permute_ffn):
+    """The salience order of every cut tensor, layer by layer, with a branch
+    per head tensor."""
     cfg = w.config
-    out = copy_weights(w)
+    out = {}
     have = reference_widths({n: a.shape for n, a in w.tensors.items()},
                             cfg.n_layers, cfg.n_heads)
     for i in range(cfg.n_layers):
@@ -191,8 +206,13 @@ def reference_prioritize(w, permute_qk, permute_vo, permute_ffn):
         for name, family, axis, h in reference_cuts(i, cfg.n_heads):
             perm = perms[family][h] if h is not None else reference_stack(perms[family],
                                                                           have[family][i])
-            out.tensors[name] = np.take(w[name], perm, axis=axis)
+            out[name] = perm
     return out
+
+
+def cut_axes(cfg):
+    return {name: axis for i in range(cfg.n_layers)
+            for name, _, axis, _ in reference_cuts(i, cfg.n_heads)}
 
 
 def same_index(a, b):
@@ -226,14 +246,43 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
 def test_prioritize_model_equals_the_reference_byte_for_byte(data):
     cfg = data.draw(configs())
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    w = extract_submodel(w, data.draw(specs(cfg)))  # prioritization takes sub-models too
+    w = extract_submodel(w, data.draw(specs(cfg)), identity_order(w))  # sub-models too
     flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
-    got, want = prioritize_model(w, *flags), reference_prioritize(w, *flags)
-    assert list(got.tensors) == list(want.tensors)
-    for name, arr in want.tensors.items():
-        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape)
-        assert got[name].tobytes() == arr.tobytes()
-        assert not np.shares_memory(got[name], w[name])
+    got, want = prioritize_model(w, *flags), reference_order(w, *flags)
+    assert list(got) == list(want)
+    for name, perm in want.items():
+        assert (got[name].dtype, got[name].shape) == (np.intp, perm.shape)
+        assert got[name].tobytes() == perm.astype(np.intp).tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_extraction_and_merge_through_the_order_equal_the_permuted_copy(data):
+    # the route before orders: permute a copy of every cut tensor, then slice
+    cfg = data.draw(configs())
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    spec_list = data.draw(st.lists(specs(cfg), min_size=1, max_size=3))
+    rng = RngStream(data.draw(st.integers(0, 99)), 0)
+    axes = cut_axes(cfg)
+    for flags in itertools.product([False, True], repeat=3):
+        order = prioritize_model(w, *flags)
+        copy = ModelWeights(cfg, {name: np.take(arr, order[name], axis=axes[name])
+                                  if name in axes else arr.copy()
+                                  for name, arr in w.tensors.items()})
+        via_order, via_copy = Fold(w, order), Fold(copy, identity_order(copy))
+        for spec in spec_list:
+            got = extract_submodel(w, spec, order)
+            plan = slice_plan(spec, {k: v.shape for k, v in copy.tensors.items()})
+            want = {name: copy[name][idx] for name, idx in plan.items()}
+            assert list(got.tensors) == list(want)
+            for name, arr in want.items():
+                assert got[name].tobytes() == arr.tobytes(), (flags, name)
+            update = ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in want.items()})
+            aggregate(via_order, [(spec, update)])
+            aggregate(via_copy, [(spec, update)])
+        got, want = via_order.merged(), via_copy.merged()
+        for name, arr in want.tensors.items():
+            assert got[name].tobytes() == arr.tobytes(), (flags, name)
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,6 +290,7 @@ def test_prioritize_model_equals_the_reference_byte_for_byte(data):
 def test_spec_of_reads_back_the_spec_a_sub_model_was_cut_to(data):
     cfg = data.draw(configs())
     spec = data.draw(specs(cfg))
-    sub = extract_submodel(init_weights(cfg, data.draw(st.integers(0, 99))), spec)
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    sub = extract_submodel(w, spec, identity_order(w))
     shapes = {name: arr.shape for name, arr in sub.tensors.items()}
     assert spec_of(shapes, cfg.n_layers, cfg.n_heads) == spec
