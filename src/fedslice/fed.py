@@ -10,9 +10,9 @@ width for that slot. So fusion keeps only the specs, and counts coverage
 from them once, at the end of the round (`scaling.coverage`). With
 full-width specs this reduces exactly to FedAvg.
 
-Prioritization yields an order, one index per cut tensor, not a permuted
-copy of the weights. Participants are handled one at a time: each one's
-sub-model is gathered from the global through that order straight into
+Prioritization yields an order, one permutation per width slot, not a
+permuted copy of the weights. Participants are handled one at a time: each
+one's sub-model is gathered from the global through that order straight into
 one vector (`nn.Flat`) just before it trains, trained there in place,
 added into the round's running sums (a `Fold`) and freed before the next
 one is extracted, so a round holds one sub-model at a time. A second
@@ -23,8 +23,10 @@ round therefore holds two full-size copies of the weights (the previous
 global and the sums) besides one client's vectors and activations. The sums
 are divided once, at the end, in place: they become the new global, in
 prioritized order, with each uncovered coordinate taken from the previous
-global through the order. The fold is freed before evaluation, which then
-runs beside only the previous and the new global.
+global through the order's full plan, which the fold builds first, so an
+order that does not fit is refused before any update is added. The fold is
+freed before evaluation, which then runs beside only the previous and the
+new global.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -45,7 +47,7 @@ from .nn import (Batch, Flat, ModelConfig, ModelWeights, backward, evaluate, for
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
-                      submodel_shapes, take_prioritized)
+                      spec_of, submodel_shapes)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -118,7 +120,7 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
 
 
 def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile,
-                order: dict) -> Flat:
+                order: list) -> Flat:
     """The spec's sub-model of `w` taken through `order` (see
     `extract_submodel`) after local_epochs full passes of SGD over the shard,
     fixed batch order. The sub-model is extracted once, into one vector
@@ -141,15 +143,17 @@ def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile,
 
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
-    global) and the order that prioritizes them, the per-tensor sums of the
-    updates added so far, in prioritized order, and their specs. A fold is
-    merged once: merging turns its sums into the merged weights in place,
-    and the fold takes no update after that."""
+    global) and their full plan through the order that prioritizes them
+    (ShapeError if it does not fit), the per-tensor sums of the updates
+    added so far, in prioritized order, and their specs. A fold is merged
+    once: merging turns its sums into the merged weights in place, and the
+    fold takes no update after that."""
 
-    def __init__(self, base: ModelWeights, order: dict):
+    def __init__(self, base: ModelWeights, order: list):
         self.base = base
-        self.order = order
         self.shapes = {name: arr.shape for name, arr in base.tensors.items()}
+        full = spec_of(self.shapes, base.config.n_layers, base.config.n_heads)
+        self.prioritized = slice_plan(full, self.shapes, order)
         self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
         self.specs = []
 
@@ -165,8 +169,7 @@ class Fold:
         for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
             np.divide(sums[name], c, out=sums[name], where=c > 0)
             if not np.all(c > 0):
-                np.copyto(sums[name], take_prioritized(self.base, name, self.order),
-                          where=c == 0)
+                np.copyto(sums[name], self.base[name][self.prioritized[name]], where=c == 0)
         return ModelWeights(cfg, sums)
 
     def _open_sums(self) -> dict[str, np.ndarray]:

@@ -2,9 +2,9 @@
 
 A "channel" is an output column of a weight matrix (one hidden unit).
 Prioritization ranks channels so the highest-L1-salience ones come first:
-it returns that order, one index per cut tensor, not a permuted copy of
-the weights. Extraction keeps the leading channels in that order, so any
-width cut retains the most salient units. Query/key columns of one
+it returns that order, one permutation per width slot, not a permuted copy
+of the weights. Extraction keeps each slot's leading channels in that order,
+so any width cut retains the most salient units. Query/key columns of one
 attention head are always ordered by the same ranking, which leaves the
 head's attention scores unchanged; value/output and FFN orders are mirrored
 on the consuming matrix's rows, which preserves the full forward function
@@ -12,9 +12,9 @@ exactly.
 
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
-channels it lays end to end along its cut axis. Prioritization, extraction,
-shape checks, the coverage counts of a round's specs, parameter counts and
-the sampler all walk a spec through it.
+channels it lays end to end along its cut axis. `slice_plan` lays the kept
+channels, in order or not, along it for extraction and fusion; shape checks,
+coverage counts, parameter counts and the sampler walk the layout too.
 """
 
 from __future__ import annotations
@@ -85,6 +85,9 @@ class SubmodelSpec:
         except (KeyError, TypeError) as exc:
             raise ValidationError("spec must hold ffn_widths, qk_widths and v_widths "
                                   f"lists: {exc!r}") from exc
+        unknown = set(d) - set(_FIELDS)
+        if unknown:
+            raise ValidationError(f"unknown key(s) in spec: {sorted(unknown)}")
         if any(type(v) is not int
                for v in spec.ffn_widths + sum(spec.qk_widths + spec.v_widths, ())):
             raise ValidationError("spec widths must be integers")
@@ -101,7 +104,6 @@ class _Layout(NamedTuple):
     slots: tuple    # (family, layer, head) per width of a spec; head is None per layer
     cuts: tuple     # (tensor, axis, indices of the slots laid end to end along axis)
     sources: tuple  # (tensor, axis) per slot: where a model's own width is read
-    axes: dict      # tensor -> its cut axis
 
 
 @functools.lru_cache(maxsize=16)
@@ -124,8 +126,7 @@ def _layout(n_layers: int, n_heads: int) -> _Layout:
                 cuts.append((name, axis, js))
                 if len(js) == 1:
                     sources.setdefault(js[0], (name, axis))
-    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))),
-                   {name: axis for name, axis, _ in cuts})
+    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))))
 
 
 def _flat(spec: SubmodelSpec) -> list:
@@ -151,12 +152,8 @@ def full_spec(cfg: ModelConfig) -> SubmodelSpec:
 
 
 def uniform_spec(cfg: ModelConfig, ratio: float) -> SubmodelSpec:
-    return _spec([_scaled_width(ratio, m) for m in _flat(full_spec(cfg))],
+    return _spec([max(1, math.ceil(ratio * m)) for m in _flat(full_spec(cfg))],
                  cfg.n_layers, cfg.n_heads)
-
-
-def _scaled_width(ratio: float, maximum: int) -> int:
-    return max(1, math.ceil(ratio * maximum))
 
 
 def salience_l1(w: np.ndarray) -> np.ndarray:
@@ -182,17 +179,17 @@ def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
 
 
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
-                     permute_ffn: bool = True) -> dict[str, np.ndarray]:
-    """The salience order of every tensor CUTS names: an ``intp``
-    permutation of its cut axis that puts the most salient channels first,
-    so taking the weights through it prioritizes them function-preservingly.
+                     permute_ffn: bool = True) -> list[np.ndarray]:
+    """The salience order: per `_layout` slot, in slot order, an ``intp``
+    permutation of its channels that puts the most salient first, so taking
+    every cut tensor through it prioritizes the weights function-preservingly.
 
     Per head the SAME joint-salience permutation orders W^q and W^k columns
     (and their biases). With permute_vo, a per-head W^v column permutation
-    also orders the matching W^o rows; with permute_ffn, the W^1 column
+    also orders the head's W^o rows; with permute_ffn, the W^1 column
     permutation also orders W^2 rows. A family left unpermuted keeps the
     identity order. The weights are not copied: `extract_submodel` and
-    `fed.Fold` gather through the order.
+    `fed.Fold` gather through `slice_plan`'s plan of the order.
     """
     cfg = w.config
     layout = _layout(cfg.n_layers, cfg.n_heads)
@@ -208,18 +205,7 @@ def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool 
             perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
         else:
             perms.append(np.arange(n, dtype=np.intp))
-    return {name: perms[js[0]] if len(js) == 1 else
-            _stack([perms[j] for j in js], [have[j] for j in js])
-            for name, _, js in layout.cuts}
-
-
-def take_prioritized(w: ModelWeights, name: str, order: dict) -> np.ndarray:
-    """Tensor `name` of `w` taken through `order` along its cut axis (a new
-    array), or the tensor itself if it is not cut."""
-    if name not in order:
-        return w[name]
-    axes = _layout(w.config.n_layers, w.config.n_heads).axes
-    return np.take(w[name], order[name], axis=axes[name])
+    return perms
 
 
 def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
@@ -264,8 +250,7 @@ def _draw_table(cfg: ModelConfig, ratios: tuple) -> tuple:
     draw's count is fixed + the sum of its picks' costs (ModelConfig keeps
     every model's count within int64)."""
     fixed, unit = _param_costs(cfg)
-    widths = np.array([[_scaled_width(r, m) for m in _flat(full_spec(cfg))] for r in ratios],
-                      dtype=np.int64)
+    widths = np.array([_flat(uniform_spec(cfg, r)) for r in ratios], dtype=np.int64)
     return fixed, widths, widths * np.array(unit, dtype=np.int64)
 
 
@@ -301,25 +286,30 @@ def _stack(picks: list, have: list) -> np.ndarray:
     return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
 
 
-def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
+def slice_plan(spec: SubmodelSpec, shapes: dict, order: list | None = None) -> dict:
     """For every tensor of a model with these shapes, the index that selects
-    the coordinates the spec keeps (``()`` keeps the whole tensor). A cut of
-    one block keeps a leading slice, and one of several blocks (``wo``'s
-    heads) an index array. Blocks are placed by the model's own widths, so
-    the model may itself be a sub-model; a spec wider than it raises
-    ShapeError."""
+    the coordinates the spec keeps (``()`` keeps the whole tensor): each
+    slot's leading channels, or the leading entries of its permutation in
+    `order` (`prioritize_model`'s). A cut of one slot keeps a slice or a
+    view of its permutation, and one of several (``wo``'s heads) an index
+    array. Slots are placed by the model's own widths, so the model may be
+    a sub-model; a spec wider than it, or an order not of its widths,
+    raises ShapeError."""
     layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
     keep = _flat(spec)
     have = [shapes[name][axis] for name, axis in layout.sources]
     for (family, i, _), k, n in zip(layout.slots, keep, have):
         if k > n:
             raise ShapeError(f"spec {family} width {k} at layer {i} exceeds the weights' {n}")
+    if order is not None and [len(p) for p in order] != have:
+        raise ShapeError("order does not fit the weights: not one permutation per slot width")
     plan = dict.fromkeys(shapes, ())
     for name, axis, js in layout.cuts:
-        if len(js) == 1:
+        if order is None and len(js) == 1:
             kept = slice(0, keep[js[0]])
         else:
-            kept = _stack([range(keep[j]) for j in js], [have[j] for j in js])
+            picks = [range(keep[j]) if order is None else order[j][:keep[j]] for j in js]
+            kept = picks[0] if len(js) == 1 else _stack(picks, [have[j] for j in js])
         plan[name] = (slice(None),) * axis + (kept,)
     return plan
 
@@ -353,23 +343,23 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     return out
 
 
-def extract_submodel(w: ModelWeights, spec: SubmodelSpec, order: dict) -> Flat:
+def extract_submodel(w: ModelWeights, spec: SubmodelSpec, order: list) -> Flat:
     """Copy out the coordinates the spec keeps into one new vector (a
-    `Flat`): the leading channels of every cut tensor of `w` in `order`
-    (`prioritize_model`'s), and every other tensor whole. A kept block is
-    gathered straight into its view, bit for bit a slice of the weights
+    `Flat`): each slot's leading channels in `order` (`prioritize_model`'s)
+    in every cut tensor of `w`, every other tensor whole. The plan, which
+    checks the order, is built before anything is allocated. A kept block
+    is gathered straight into its view, bit for bit a slice of the weights
     permuted by the order."""
     spec.validate(w.config)
     src = w.tensors
     shapes = {name: arr.shape for name, arr in src.items()}
-    plan = slice_plan(spec, shapes)
+    plan = slice_plan(spec, shapes, order)
     sub = Flat(w.config, submodel_shapes(spec, shapes))
     for name, idx in plan.items():
         if not idx:
             np.copyto(sub.tensors[name], src[name])
-        else:  # mode="clip" writes straight into out (the order is in range)
-            np.take(src[name], order[name][idx[-1]], axis=len(idx) - 1,
-                    out=sub.tensors[name], mode="clip")
+        else:  # mode="clip" writes straight into out (the plan is in range)
+            np.take(src[name], idx[-1], axis=len(idx) - 1, out=sub.tensors[name], mode="clip")
     return sub
 
 
@@ -377,7 +367,6 @@ __all__ = [
     "ResourceBudget", "SubmodelSpec",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
-    "take_prioritized",
     "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "submodel_shapes",
     "coverage", "spec_of",
 ]

@@ -455,7 +455,9 @@ class TestCmdExtractInspect:
                  {"ffn_widths": [4], "qk_widths": [[3, 3]]},
                  {"ffn_widths": [4.5], "qk_widths": [[3, 3]], "v_widths": [[3, 3]]},
                  {"ffn_widths": [4], "qk_widths": [3, 3], "v_widths": [[3, 3]]},
-                 {"ffn_widths": [4], "qk_widths": [[3, 3]], "v_widths": [[3]]}]
+                 {"ffn_widths": [4], "qk_widths": [[3, 3]], "v_widths": [[3]]},
+                 {"ffn_widths": [2], "qk_widths": [[1, 1]], "v_widths": [[1, 1]],
+                  "ffn_width": [99]}]
         for text in [json.dumps(spec) for spec in specs] + ['{"ratio": ']:
             spec_path.write_text(text)
             assert cli.main(["extract", str(ckpt_in), str(spec_path),

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice import fed, nn
-from fedslice.errors import AggregationError, ConfigError, NumericError, ValidationError
+from fedslice.errors import (AggregationError, ConfigError, NumericError, ShapeError,
+                             ValidationError)
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
                          softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, param_count, prioritize_model)
+                              full_spec, param_count, prioritize_model, uniform_spec)
 from fedslice.tensor import RngStream
 
 from test_nn import backward_new
-from test_slice_plan import configs, cut_axes, identity_order, prioritized, specs
+from test_slice_plan import (configs, identity_order, prioritized, reference_slot_widths,
+                             specs)
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
@@ -275,6 +277,13 @@ def test_local_train_bit_equal_to_out_of_place_sgd(data):
 
 
 class TestAggregate:
+    def test_order_of_other_weights_rejected_before_any_update(self):
+        w = init_weights(TINY, 1)
+        narrow = extract_submodel(w, uniform_spec(TINY, 0.5), identity_order(w))
+        for base, order in [(narrow, prioritize_model(w)), (w, prioritize_model(w)[1:])]:
+            with pytest.raises(ShapeError):
+                Fold(base, order)
+
     def test_single_full_update_replaces_global(self):
         g = init_weights(TINY, 1)
         u = init_weights(TINY, 2)
@@ -518,14 +527,13 @@ class TestRounds:
         monkeypatch.setattr(fed, "prioritize_model", prioritize)
         cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2)
         run_federation(cfg, TINY, make_profiles(TINY, 4))
-        axes = cut_axes(TINY)
-        shapes = nn.full_shapes(TINY)
+        widths = reference_slot_widths(nn.full_shapes(TINY), TINY.n_layers, TINY.n_heads)
         assert len(orders) == cfg.rounds
-        for order in orders:
-            assert set(order) == set(axes)
-            for name, perm in order.items():
-                assert isinstance(perm, np.ndarray) and perm.dtype == np.intp, name
-                assert sorted(perm.tolist()) == list(range(shapes[name][axes[name]])), name
+        for order in orders:  # one permutation per slot, of the slot's full width
+            assert isinstance(order, list) and len(order) == len(widths)
+            for j, (perm, n) in enumerate(zip(order, widths)):
+                assert isinstance(perm, np.ndarray) and perm.dtype == np.intp, j
+                assert sorted(perm.tolist()) == list(range(n)), j
 
     def test_round_holds_two_model_copies_while_clients_train(self, monkeypatch):
         # outside each local_train, the round holds the global and the sums:

@@ -78,7 +78,7 @@ class TestPrioritizeModel:
     def test_all_flags_off_is_identity(self):
         w = init_weights(CFG, 3)
         order = prioritize_model(w, permute_qk=False, permute_vo=False, permute_ffn=False)
-        assert all(np.array_equal(p, np.arange(len(p))) for p in order.values())
+        assert all(np.array_equal(p, np.arange(len(p))) for p in order)
         wp = prioritized(w, False, False, False)
         assert all(np.array_equal(w.tensors[k], wp.tensors[k]) for k in w.tensors)
 
@@ -102,7 +102,7 @@ class TestPrioritizeModel:
 
     def test_idempotent(self):
         wp = prioritized(init_weights(CFG, 6))
-        assert all(np.array_equal(p, np.arange(len(p))) for p in prioritize_model(wp).values())
+        assert all(np.array_equal(p, np.arange(len(p))) for p in prioritize_model(wp))
         wpp = prioritized(wp)
         assert wpp.tensors.keys() == wp.tensors.keys()
         assert all(wpp.tensors[k].tobytes() == wp.tensors[k].tobytes() for k in wp.tensors)
@@ -263,6 +263,16 @@ class TestExtractSubmodel:
         monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
         with pytest.raises(ShapeError):
             extract_submodel(narrow, full_spec(CFG), identity_order(narrow))
+
+    def test_order_of_other_weights_rejected(self, monkeypatch):
+        # the full model's order on a narrow sub-model would gather columns
+        # past the narrow width (clipped to its last); one slot short is off too
+        w = init_weights(CFG, 3)
+        narrow = extract_submodel(w, uniform_spec(CFG, 0.5), prioritize_model(w))
+        monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
+        for order in (prioritize_model(w), prioritize_model(narrow)[:-1]):
+            with pytest.raises(ShapeError):
+                extract_submodel(narrow, uniform_spec(CFG, 0.5), order)
 
     def test_short_head_rows_rejected(self):
         cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_k=4, d_v=4, d_ff=16,

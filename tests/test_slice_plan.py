@@ -210,6 +210,13 @@ def reference_order(w, permute_qk, permute_vo, permute_ffn):
     return out
 
 
+def reference_slot_widths(shapes, n_layers, n_heads):
+    """A model's widths in slot order: family by family in field order, then
+    layer, then head."""
+    have = reference_widths(shapes, n_layers, n_heads)
+    return [n for family in ("ffn", "qk", "v") for heads in have[family] for n in heads]
+
+
 def cut_axes(cfg):
     return {name: axis for i in range(cfg.n_layers)
             for name, _, axis, _ in reference_cuts(i, cfg.n_heads)}
@@ -232,13 +239,27 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
     narrow = {name: tuple(len(range(n)[i]) if isinstance(i, slice) else len(i)
                           for n, i in zip(full[name], idx)) + full[name][len(idx):]
               for name, idx in reference_plan(outer, full).items()}
-    for spec, shapes in [(outer, full), (inner, full), (inner, narrow)]:
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    narrow_w = extract_submodel(w, outer, identity_order(w))
+    assert {name: arr.shape for name, arr in narrow_w.tensors.items()} == narrow
+    flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    for spec, source in [(outer, w), (inner, w), (inner, narrow_w)]:
+        shapes = {name: arr.shape for name, arr in source.tensors.items()}
         got, want = slice_plan(spec, shapes), reference_plan(spec, shapes)
+        assert list(got) == list(want)
+        assert all(same_index(got[name], want[name]) for name in want)
+        # ordered: the reference order's entries at the reference plan's kept indices
+        perms = reference_order(source, *flags)
+        got = slice_plan(spec, shapes, prioritize_model(source, *flags))
+        want = {name: idx[:-1] + (perms[name][idx[-1]],) if idx else ()
+                for name, idx in want.items()}
         assert list(got) == list(want)
         assert all(same_index(got[name], want[name]) for name in want)
     if outer != full_spec(cfg):
         with pytest.raises(ShapeError):
             slice_plan(full_spec(cfg), narrow)
+        with pytest.raises(ShapeError):  # the full model's order on the narrow one
+            slice_plan(outer, narrow, prioritize_model(w, *flags))
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,11 +269,17 @@ def test_prioritize_model_equals_the_reference_byte_for_byte(data):
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     w = extract_submodel(w, data.draw(specs(cfg)), identity_order(w))  # sub-models too
     flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
-    got, want = prioritize_model(w, *flags), reference_order(w, *flags)
-    assert list(got) == list(want)
+    shapes = {name: arr.shape for name, arr in w.tensors.items()}
+    order = prioritize_model(w, *flags)
+    assert [len(p) for p in order] == reference_slot_widths(shapes, cfg.n_layers, cfg.n_heads)
+    # the whole model, taken through the order: every cut tensor's index
+    got = slice_plan(spec_of(shapes, cfg.n_layers, cfg.n_heads), shapes, order)
+    want = reference_order(w, *flags)
+    assert {name for name, idx in got.items() if idx} == set(want)
     for name, perm in want.items():
-        assert (got[name].dtype, got[name].shape) == (np.intp, perm.shape)
-        assert got[name].tobytes() == perm.astype(np.intp).tobytes(), name
+        idx = got[name][-1]
+        assert (idx.dtype, idx.shape) == (np.intp, perm.shape), name
+        assert idx.tobytes() == perm.astype(np.intp).tobytes(), name
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,8 +292,8 @@ def test_extraction_and_merge_through_the_order_equal_the_permuted_copy(data):
     rng = RngStream(data.draw(st.integers(0, 99)), 0)
     axes = cut_axes(cfg)
     for flags in itertools.product([False, True], repeat=3):
-        order = prioritize_model(w, *flags)
-        copy = ModelWeights(cfg, {name: np.take(arr, order[name], axis=axes[name])
+        order, perms = prioritize_model(w, *flags), reference_order(w, *flags)
+        copy = ModelWeights(cfg, {name: np.take(arr, perms[name], axis=axes[name])
                                   if name in axes else arr.copy()
                                   for name, arr in w.tensors.items()})
         via_order, via_copy = Fold(w, order), Fold(copy, identity_order(copy))
