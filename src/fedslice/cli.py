@@ -24,8 +24,8 @@ from .config import parse_run_config
 from .errors import (AggregationError, ConfigError, FormatError, NumericError,
                      ShapeError, ValidationError)
 from .nn import Batch, ModelConfig, forward, init_weights
-from .scaling import (SubmodelSpec, extract_submodel, full_spec, prioritize_model,
-                      uniform_spec, verify_theorem1)
+from .scaling import (SubmodelSpec, extract_submodel, prioritize_model, uniform_spec,
+                      verify_theorem1)
 from .sim import run_simulation
 from .tensor import RngStream
 
@@ -101,8 +101,8 @@ def _cmd_verify(args) -> int:
         batch = Batch(tokens=np.asarray(rng.integers(0, cfg.vocab_size, (4, 6))),
                       labels=np.asarray(rng.integers(0, cfg.n_classes, 4)))
         base, _ = forward(w, batch)
-        wp = extract_submodel(w, full_spec(cfg), prioritize_model(w))
-        after, _ = forward(wp, batch)
+        prioritize_model(w)
+        after, _ = forward(w, batch)
         rel = np.abs(base - after) / np.maximum(1.0, np.maximum(np.abs(base), np.abs(after)))
         diff = float(rel.max())
         if diff > 1e-9:
@@ -133,7 +133,8 @@ def _parse_spec_json(path: str, cfg: ModelConfig) -> SubmodelSpec:
 def _cmd_extract(args) -> int:
     model = tensors_to_model(read_checkpoint(args.checkpoint_in))
     spec = _parse_spec_json(args.spec, model.config)
-    sub = extract_submodel(model, spec, prioritize_model(model))
+    prioritize_model(model)
+    sub = extract_submodel(model, spec)
     print(f"params before: {model.param_total()}")
     print(f"params after:  {sub.param_total()}")
     write_checkpoint(args.checkpoint_out, model_to_tensors(sub))

@@ -1,7 +1,7 @@
 """Federated orchestration: selection, dispatch, local SGD, coverage-average fusion.
 
-One round = prioritize the global weights, sample a budget-compliant spec
-per participant, slice out sub-models, train them locally, then fuse: every
+One round = prioritize the global weights in place, sample a budget-compliant
+spec per participant, slice out sub-models, train them locally, then fuse: every
 global coordinate becomes the mean over the clients whose spec covers it,
 and uncovered coordinates carry over unchanged. A spec keeps leading
 channels along one axis of each tensor, so how many clients cover a
@@ -10,23 +10,23 @@ width for that slot. So fusion keeps only the specs, and counts coverage
 from them once, at the end of the round (`scaling.coverage`). With
 full-width specs this reduces exactly to FedAvg.
 
-Prioritization yields an order, one permutation per width slot, not a
-permuted copy of the weights. Participants are handled one at a time: each
-one's sub-model is gathered from the global through that order straight into
-one vector (`nn.Flat`) just before it trains, trained there in place,
-added into the round's running sums (a `Fold`) and freed before the next
-one is extracted, so a round holds one sub-model at a time. A second
-vector of the sub-model's layout holds the gradients: every step writes
-its gradients into it and updates the sub-model in place, and `backward`
-frees each layer's activations as it finishes with them. During training a
-round therefore holds two full-size copies of the weights (the previous
-global and the sums) besides one client's vectors and activations. The sums
-are divided once, at the end, in place: they become the new global, in
-prioritized order, with each uncovered coordinate taken from the previous
-global through the order's full plan, which the fold builds first, so an
-order that does not fit is refused before any update is added. The fold is
-freed before evaluation, which then runs beside only the previous and the
-new global.
+Prioritization permutes the global's channels in place, so every
+sub-model is the leading channels of each width slot. Participants are
+handled one at a time: each one's sub-model is copied from the global
+straight into one vector (`nn.Flat`) just before it trains, trained there
+in place, added into the round's running sums (a `Fold`) and freed before
+the next one is extracted, so a round holds one sub-model at a time. A
+second vector of the sub-model's layout holds the gradients: every step
+writes its gradients into it and updates the sub-model in place, and
+`backward` frees each layer's activations as it finishes with them. During
+training a round therefore holds two full-size copies of the weights (the
+prioritized global and the sums) besides one client's vectors and
+activations. The sums are divided once, at the end, in place: they become
+the new global, with each uncovered coordinate taken from the prioritized
+global. The fold is freed before evaluation, which then runs beside only
+the previous and the new global. A round that drops every participant
+returns the global as prioritized: the same function, its channels in that
+round's salience order.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -47,7 +47,7 @@ from .nn import (Batch, Flat, ModelConfig, ModelWeights, backward, evaluate, for
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
-                      spec_of, submodel_shapes)
+                      submodel_shapes)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -119,15 +119,14 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
-def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile,
-                order: list) -> Flat:
-    """The spec's sub-model of `w` taken through `order` (see
-    `extract_submodel`) after local_epochs full passes of SGD over the shard,
-    fixed batch order. The sub-model is extracted once, into one vector
-    (`nn.Flat`), and trained there in place; `w` is left as it is. Each
-    step's backward writes its gradients into a second vector of the same
-    layout, and both vectors are reused by every step."""
-    params = extract_submodel(w, spec, order)
+def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> Flat:
+    """The spec's sub-model of `w` (see `extract_submodel`) after
+    local_epochs full passes of SGD over the shard, fixed batch order. The
+    sub-model is extracted once, into one vector (`nn.Flat`), and trained
+    there in place; `w` is left as it is. Each step's backward writes its
+    gradients into a second vector of the same layout, and both vectors are
+    reused by every step."""
+    params = extract_submodel(w, spec)
     grads = Flat(w.config, {name: arr.shape for name, arr in params.tensors.items()})
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
@@ -143,33 +142,28 @@ def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile,
 
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
-    global) and their full plan through the order that prioritizes them
-    (ShapeError if it does not fit), the per-tensor sums of the updates
-    added so far, in prioritized order, and their specs. A fold is merged
-    once: merging turns its sums into the merged weights in place, and the
-    fold takes no update after that."""
+    prioritized global), the per-tensor sums of the updates added so far,
+    and their specs. A fold is merged once: merging turns its sums into the
+    merged weights in place, and the fold takes no update after that."""
 
-    def __init__(self, base: ModelWeights, order: list):
+    def __init__(self, base: ModelWeights):
         self.base = base
         self.shapes = {name: arr.shape for name, arr in base.tensors.items()}
-        full = spec_of(self.shapes, base.config.n_layers, base.config.n_heads)
-        self.prioritized = slice_plan(full, self.shapes, order)
         self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
         self.specs = []
 
     def merged(self) -> ModelWeights:
         """Per-coordinate mean over the covering updates; an uncovered
-        coordinate keeps the base value there in prioritized order. The sums
-        are divided in place and become the returned weights' tensors; a
-        tensor with an uncovered coordinate takes its base through the order
-        into one temporary, so no other model-sized array is made."""
+        coordinate keeps the base value. The sums are divided in place and
+        become the returned weights' tensors, so no other model-sized array
+        is made."""
         sums = self._open_sums()
         self.sums = None
         cfg = self.base.config
         for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
             np.divide(sums[name], c, out=sums[name], where=c > 0)
             if not np.all(c > 0):
-                np.copyto(sums[name], self.base[name][self.prioritized[name]], where=c == 0)
+                np.copyto(sums[name], self.base[name], where=c == 0)
         return ModelWeights(cfg, sums)
 
     def _open_sums(self) -> dict[str, np.ndarray]:
@@ -196,18 +190,20 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
 
 def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
               cfg: FederationConfig, eval_batch=None) -> tuple[ModelWeights, RoundRecord]:
-    """Round t: prioritize, sample specs, extract, local train, aggregate, evaluate."""
+    """Round t: prioritize `global_w` in place, sample specs, extract, local
+    train, aggregate, evaluate. A round that drops every participant returns
+    `global_w` itself, as prioritized."""
     t0 = time.monotonic()
     seed = cfg.master_seed
 
-    order = prioritize_model(global_w, permute_qk=cfg.permute_qk,
-                             permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
+    prioritize_model(global_w, permute_qk=cfg.permute_qk,
+                     permute_vo=cfg.permute_vo, permute_ffn=cfg.permute_ffn)
 
     select_rng = RngStream(seed, STREAM_SELECT + t)
     participants = select_participants(cfg.n_clients, cfg.participation_rate, select_rng)
 
     model_cfg = global_w.config
-    fold = Fold(global_w, order)
+    fold = Fold(global_w)
     client_specs, dropped = [], []
     bytes_down = bytes_up = 0
     for cid in participants:
@@ -222,7 +218,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         client_specs.append({"client_id": cid, "spec": spec.to_dict(),
                              "param_count": n_params})
         try:
-            trained = local_train(global_w, spec, profile, order)
+            trained = local_train(global_w, spec, profile)
         except NumericError as exc:
             dropped.append({"client_id": cid, "reason": str(exc)})
             continue

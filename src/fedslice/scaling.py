@@ -1,20 +1,19 @@
 """Salience scoring, channel prioritization, and budget-constrained sub-model extraction.
 
 A "channel" is an output column of a weight matrix (one hidden unit).
-Prioritization ranks channels so the highest-L1-salience ones come first:
-it returns that order, one permutation per width slot, not a permuted copy
-of the weights. Extraction keeps each slot's leading channels in that order,
-so any width cut retains the most salient units. Query/key columns of one
-attention head are always ordered by the same ranking, which leaves the
-head's attention scores unchanged; value/output and FFN orders are mirrored
-on the consuming matrix's rows, which preserves the full forward function
-exactly.
+Prioritization permutes a model's channels in place so the highest-L1-
+salience ones come first, one permutation per width slot. A sub-model is
+then each slot's leading channels, so any width cut retains the most
+salient units. Query/key columns of one attention head are always permuted
+by the same ranking, which leaves the head's attention scores unchanged;
+value/output and FFN permutations are mirrored on the consuming matrix's
+rows, which preserves the full forward function exactly.
 
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
 channels it lays end to end along its cut axis. `slice_plan` lays the kept
-channels, in order or not, along it for extraction and fusion; shape checks,
-coverage counts, parameter counts and the sampler walk the layout too.
+leading channels along it for extraction and fusion; prioritization, shape
+checks, coverage counts, parameter counts and the sampler walk the layout too.
 """
 
 from __future__ import annotations
@@ -179,33 +178,38 @@ def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
 
 
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
-                     permute_ffn: bool = True) -> list[np.ndarray]:
-    """The salience order: per `_layout` slot, in slot order, an ``intp``
-    permutation of its channels that puts the most salient first, so taking
-    every cut tensor through it prioritizes the weights function-preservingly.
+                     permute_ffn: bool = True) -> None:
+    """Permute `w` in place, function-preservingly, so every width slot of
+    `_layout` holds its most salient channels first.
 
     Per head the SAME joint-salience permutation orders W^q and W^k columns
     (and their biases). With permute_vo, a per-head W^v column permutation
     also orders the head's W^o rows; with permute_ffn, the W^1 column
-    permutation also orders W^2 rows. A family left unpermuted keeps the
-    identity order. The weights are not copied: `extract_submodel` and
-    `fed.Fold` gather through `slice_plan`'s plan of the order.
+    permutation also orders W^2 rows. A family whose flag is off is not
+    touched. Every permutation is ranked before any is applied, and each
+    cut tensor is rewritten through one `np.take` temporary of its own size.
     """
     cfg = w.config
     layout = _layout(cfg.n_layers, cfg.n_heads)
     have = [w[name].shape[axis] for name, axis in layout.sources]
+    on = {"qk": permute_qk, "v": permute_vo, "ffn": permute_ffn}
     perms = []  # one per slot
-    for (family, i, h), n in zip(layout.slots, have):
+    for family, i, h in layout.slots:
         p = f"layer{i}.head{h}"
-        if family == "qk" and permute_qk:
+        if not on[family]:
+            perms.append(None)
+        elif family == "qk":
             perms.append(rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"])))
-        elif family == "v" and permute_vo:
+        elif family == "v":
             perms.append(rank_channels(salience_l1(w[f"{p}.wv"])))
-        elif family == "ffn" and permute_ffn:
-            perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
         else:
-            perms.append(np.arange(n, dtype=np.intp))
-    return perms
+            perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
+    for name, axis, js in layout.cuts:
+        if perms[js[0]] is not None:  # the slots of one cut share a family
+            perm = perms[js[0]] if len(js) == 1 else _stack([perms[j] for j in js],
+                                                            [have[j] for j in js])
+            arr = w.tensors[name]
+            arr[...] = np.take(arr, perm, axis=axis)
 
 
 def verify_theorem1(wq: np.ndarray, wk: np.ndarray, x: np.ndarray, p) -> float:
@@ -286,30 +290,23 @@ def _stack(picks: list, have: list) -> np.ndarray:
     return np.concatenate([s + np.asarray(p, dtype=np.intp) for s, p in zip(starts, picks)])
 
 
-def slice_plan(spec: SubmodelSpec, shapes: dict, order: list | None = None) -> dict:
+def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     """For every tensor of a model with these shapes, the index that selects
     the coordinates the spec keeps (``()`` keeps the whole tensor): each
-    slot's leading channels, or the leading entries of its permutation in
-    `order` (`prioritize_model`'s). A cut of one slot keeps a slice or a
-    view of its permutation, and one of several (``wo``'s heads) an index
-    array. Slots are placed by the model's own widths, so the model may be
-    a sub-model; a spec wider than it, or an order not of its widths,
-    raises ShapeError."""
+    slot's leading channels, a slice for a cut of one slot and an index
+    array for one of several (``wo``'s heads). Slots are placed by the
+    model's own widths, so the model may be a sub-model; a spec wider than
+    it raises ShapeError."""
     layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
     keep = _flat(spec)
     have = [shapes[name][axis] for name, axis in layout.sources]
     for (family, i, _), k, n in zip(layout.slots, keep, have):
         if k > n:
             raise ShapeError(f"spec {family} width {k} at layer {i} exceeds the weights' {n}")
-    if order is not None and [len(p) for p in order] != have:
-        raise ShapeError("order does not fit the weights: not one permutation per slot width")
     plan = dict.fromkeys(shapes, ())
     for name, axis, js in layout.cuts:
-        if order is None and len(js) == 1:
-            kept = slice(0, keep[js[0]])
-        else:
-            picks = [range(keep[j]) if order is None else order[j][:keep[j]] for j in js]
-            kept = picks[0] if len(js) == 1 else _stack(picks, [have[j] for j in js])
+        kept = slice(0, keep[js[0]]) if len(js) == 1 else _stack(
+            [range(keep[j]) for j in js], [have[j] for j in js])
         plan[name] = (slice(None),) * axis + (kept,)
     return plan
 
@@ -343,23 +340,18 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     return out
 
 
-def extract_submodel(w: ModelWeights, spec: SubmodelSpec, order: list) -> Flat:
+def extract_submodel(w: ModelWeights, spec: SubmodelSpec) -> Flat:
     """Copy out the coordinates the spec keeps into one new vector (a
-    `Flat`): each slot's leading channels in `order` (`prioritize_model`'s)
-    in every cut tensor of `w`, every other tensor whole. The plan, which
-    checks the order, is built before anything is allocated. A kept block
-    is gathered straight into its view, bit for bit a slice of the weights
-    permuted by the order."""
+    `Flat`): each slot's leading channels in every cut tensor of `w`, every
+    other tensor whole. The plan, which checks the spec against `w`'s
+    widths, is built before anything is allocated."""
     spec.validate(w.config)
     src = w.tensors
     shapes = {name: arr.shape for name, arr in src.items()}
-    plan = slice_plan(spec, shapes, order)
+    plan = slice_plan(spec, shapes)
     sub = Flat(w.config, submodel_shapes(spec, shapes))
     for name, idx in plan.items():
-        if not idx:
-            np.copyto(sub.tensors[name], src[name])
-        else:  # mode="clip" writes straight into out (the plan is in range)
-            np.take(src[name], idx[-1], axis=len(idx) - 1, out=sub.tensors[name], mode="clip")
+        np.copyto(sub.tensors[name], src[name][idx])
     return sub
 
 

@@ -18,11 +18,11 @@ from fedslice.fed import (STREAM_SELECT, ClientProfile, FederationConfig,
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores, forward,
                          init_weights, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, param_count, prioritize_model,
+                              param_count, prioritize_model,
                               uniform_spec, verify_theorem1)
 from fedslice.tensor import RngStream
 from test_nn import backward_new
-from test_slice_plan import copy_weights, identity_order
+from test_slice_plan import copy_weights
 
 
 def test_1_theorem_invariance_and_negative_control():
@@ -57,7 +57,8 @@ def test_2_function_preservation_full_model():
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=4, d_k=4, d_v=4, d_ff=32,
                       vocab_size=16, n_classes=4, max_seq=12)
     w = init_weights(cfg, 21)
-    wp = extract_submodel(w, full_spec(cfg), prioritize_model(w))  # all flags on by default
+    wp = copy_weights(w)
+    prioritize_model(wp)  # all flags on by default
     worst = 0.0
     for seed in range(16):
         rng = RngStream(seed, 444)
@@ -162,17 +163,16 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
     from fedslice.fed import Fold, aggregate
     t0 = time.monotonic()
     cfg = AGG_CFG
-    order = identity_order(init_weights(cfg, 0))  # every case's global has these shapes
     for case in range(200):
         rng = RngStream(404, case)
         g = init_weights(cfg, case)
         updates = []
         for _ in range(int(rng.integers(1, 4))):
             spec = _random_spec(cfg, rng)
-            shaped = extract_submodel(g, spec, order)
+            shaped = extract_submodel(g, spec)
             updates.append((spec, ModelWeights(
                 cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in shaped.tensors.items()})))
-        fold = Fold(g, order)
+        fold = Fold(g)
         aggregate(fold, updates)
         out = fold.merged()
         for name, garr in g.tensors.items():
@@ -250,11 +250,11 @@ def test_6_slice_optimality_exhaustive():
     for dk in (4, 6, 8):
         cfg = ModelConfig(1, 8, 1, dk, 4, 8, 11, 3, 10)
         w = init_weights(cfg, 60 + dk)
-        order = prioritize_model(w)
-        wq0, wk0 = w["layer0.head0.wq"], w["layer0.head0.wk"]
+        wq0, wk0 = w["layer0.head0.wq"].copy(), w["layer0.head0.wk"].copy()
+        prioritize_model(w)
         for k in range(1, dk + 1):
             spec = SubmodelSpec(ffn_widths=(8,), qk_widths=((k,),), v_widths=((4,),))
-            sub = extract_submodel(w, spec, order)
+            sub = extract_submodel(w, spec)
             kept = math.fsum(np.abs(sub["layer0.head0.wq"]).flat) \
                 + math.fsum(np.abs(sub["layer0.head0.wk"]).flat)
             best = max(math.fsum(np.abs(wq0[:, list(c)]).flat)
@@ -343,10 +343,12 @@ def test_8_salience_beats_random_permutation_slicing():
         toks = np.asarray(rng.integers(0, 6, (32, 7)))
         probe = Batch(tokens=toks, labels=label_tokens(toks, task))
         full_logits, _ = forward(w, probe)
-        spp_sub = extract_submodel(w, spec, prioritize_model(w))
+        spp = copy_weights(w)
+        prioritize_model(spp)
+        spp_sub = extract_submodel(spp, spec)
         mse_spp = float(((forward(spp_sub, probe)[0] - full_logits) ** 2).mean())
         rnd = _random_paired_permute(w, rng)
-        rnd_sub = extract_submodel(rnd, spec, identity_order(rnd))
+        rnd_sub = extract_submodel(rnd, spec)
         mse_rnd = float(((forward(rnd_sub, probe)[0] - full_logits) ** 2).mean())
         wins += mse_spp < mse_rnd
     assert wins >= 0.7 * 50

@@ -18,10 +18,9 @@ from fedslice.config import parse_run_config
 from fedslice.data import generate
 from fedslice.errors import ConfigError, FormatError
 from fedslice.nn import Batch, ModelConfig, _model_values, full_shapes, init_weights
-from fedslice.scaling import (extract_submodel, full_spec, param_count, prioritize_model,
-                              uniform_spec)
+from fedslice.scaling import param_count, uniform_spec
 from fedslice.sim import build_profiles
-from test_slice_plan import configs
+from test_slice_plan import configs, prioritized
 
 
 def run_config_doc(**overrides):
@@ -440,8 +439,8 @@ class TestCmdExtractInspect:
         ckpt_out = tmp_path / "out.rffm"
         assert cli.main(["extract", str(ckpt_in), str(spec_path), str(ckpt_out)]) == 0
         sub = tensors_to_model(read_checkpoint(ckpt_out))
-        wp = extract_submodel(w, full_spec(cfg), prioritize_model(w))
-        assert all(np.array_equal(wp.tensors[k], sub.tensors[k]) for k in wp.tensors)
+        wp = prioritized(w)
+        assert all(wp[k].tobytes() == sub[k].tobytes() for k in wp.tensors)
 
     def test_incompatible_spec_exits_1(self, tmp_path, capsys):
         cfg = ModelConfig(1, 6, 2, 3, 3, 8, 11, 3, 8)

@@ -1,6 +1,7 @@
 """No dead code: every top-level function, class and constant in
 src/fedslice is used by the program, in src/fedslice or perfbench/, outside
-its own definition. A name that only tests use fails here."""
+its own definition. A name that only tests use fails here, and so does an
+`__all__` entry that names nothing the module defines."""
 
 import ast
 import pathlib
@@ -10,12 +11,15 @@ PACKAGE = sorted((ROOT / "src" / "fedslice").glob("*.py"))
 PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def is_all(node):
+    return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets)
+
+
 def top_level(path):
     """The module's top-level statements, less its __all__ list, whose
     strings export names rather than use them."""
-    return [node for node in ast.parse(path.read_text()).body
-            if not (isinstance(node, ast.Assign)
-                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))]
+    return [node for node in ast.parse(path.read_text()).body if not is_all(node)]
 
 
 def defined_names(node):
@@ -51,3 +55,14 @@ def test_every_top_level_name_is_used_outside_its_definition():
               for path in PACKAGE for node in top_level(path) for name in defined_names(node)
               if not any(name in names for other, names in uses if other is not node)]
     assert not unused, f"defined but never used by the program: {unused}"
+
+
+def test_every_all_entry_names_a_top_level_definition():
+    # a stale entry makes `from module import *` raise AttributeError
+    stale = []
+    for path in PACKAGE:
+        body = ast.parse(path.read_text()).body
+        defined = {name for node in body for name in defined_names(node)}
+        stale += [f"{path.name}: {name}" for node in body if is_all(node)
+                  for name in ast.literal_eval(node.value) if name not in defined]
+    assert not stale, f"in __all__ but not defined at top level: {stale}"

@@ -9,23 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice import fed, nn
-from fedslice.errors import (AggregationError, ConfigError, NumericError, ShapeError,
-                             ValidationError)
+from fedslice.errors import AggregationError, ConfigError, NumericError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
                           run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
                          softmax_cross_entropy)
-from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, param_count, prioritize_model, uniform_spec)
+from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, full_spec,
+                              param_count, prioritize_model)
 from fedslice.tensor import RngStream
 
 from test_nn import backward_new
-from test_slice_plan import (configs, identity_order, prioritized, reference_slot_widths,
-                             specs)
+from test_slice_plan import configs, prioritized, specs
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
                    vocab_size=4, n_classes=3, max_seq=4)
+# big enough that no one tensor is a third of the model
+WIDE = ModelConfig(n_layers=2, d_model=64, n_heads=2, d_k=16, d_v=16, d_ff=128,
+                   vocab_size=8, n_classes=3, max_seq=4)
 
 
 def tiny_batch(seed, n=4, cfg=TINY):
@@ -55,13 +56,13 @@ def random_spec(cfg, rng):
 def random_update(cfg, spec, rng):
     """Weights with the sub-model shapes the spec implies, random values."""
     w = init_weights(cfg, 0)
-    sub = extract_submodel(w, spec, identity_order(w))
+    sub = extract_submodel(w, spec)
     return ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in sub.tensors.items()})
 
 
 def fold_all(global_w, updates):
     """The merge of one fold that adds every update in one aggregate call."""
-    fold = Fold(global_w, identity_order(global_w))
+    fold = Fold(global_w)
     aggregate(fold, updates)
     return fold.merged()
 
@@ -146,13 +147,13 @@ class TestLocalTrain:
     def test_zero_epochs_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, local_epochs=0)[0]
-        out = local_train(w, full_spec(TINY), p, identity_order(w))
+        out = local_train(w, full_spec(TINY), p)
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_zero_lr_is_identity(self):
         w = init_weights(TINY, 1)
         p = make_profiles(TINY, 1, lr=0.0)[0]
-        out = local_train(w, full_spec(TINY), p, identity_order(w))
+        out = local_train(w, full_spec(TINY), p)
         assert all(np.array_equal(w.tensors[k], out.tensors[k]) for k in w.tensors)
 
     def test_one_epoch_single_batch_equals_one_sgd_step(self):
@@ -160,7 +161,7 @@ class TestLocalTrain:
         batch = tiny_batch(0, n=1)
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[batch], local_epochs=1, lr=0.2)
-        out = local_train(w, full_spec(TINY), p, identity_order(w))
+        out = local_train(w, full_spec(TINY), p)
         logits, cache = forward(w, batch)
         _, dlogits = softmax_cross_entropy(logits, batch.labels)
         g = backward_new(cache, dlogits)
@@ -178,7 +179,7 @@ class TestLocalTrain:
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(s) for s in range(3)], local_epochs=2, lr=0.1)
         w = init_weights(TINY, 3)
-        local_train(w, full_spec(TINY), p, identity_order(w))
+        local_train(w, full_spec(TINY), p)
         assert len(calls) == 2 * 3
 
     def test_trains_its_one_extraction_in_place(self, monkeypatch):
@@ -187,8 +188,8 @@ class TestLocalTrain:
         extracted, flats = [], []
         real_extract, real_flat = fed.extract_submodel, nn.Flat.__init__
 
-        def extract(w, spec, order):
-            extracted.append(real_extract(w, spec, order))
+        def extract(w, spec):
+            extracted.append(real_extract(w, spec))
             return extracted[-1]
 
         def counting_flat(self, *args):
@@ -198,14 +199,14 @@ class TestLocalTrain:
         monkeypatch.setattr(fed, "extract_submodel", extract)
         monkeypatch.setattr(nn.Flat, "__init__", counting_flat)
         w = init_weights(TINY, 1)
-        order = prioritize_model(w)
+        prioritize_model(w)
         before = {k: v.tobytes() for k, v in w.tensors.items()}
         spec = SubmodelSpec(ffn_widths=(3,), qk_widths=((2, 4),), v_widths=((1, 2),))
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(0), tiny_batch(1)], local_epochs=2, lr=0.1)
-        out = local_train(w, spec, p, order)
+        out = local_train(w, spec, p)
         assert len(extracted) == 1 and out is extracted[0] and len(flats) == 2
-        assert out.vector.tobytes() != real_extract(w, spec, order).vector.tobytes()
+        assert out.vector.tobytes() != real_extract(w, spec).vector.tobytes()
         assert {k: v.tobytes() for k, v in w.tensors.items()} == before
 
     def test_non_finite_gradient_drops_the_client_naming_the_tensor(self, monkeypatch):
@@ -236,8 +237,9 @@ class TestLocalTrain:
                                 shard=[tiny_batch(0, n=1, cfg=cfg)] * 2, local_epochs=2,
                                 lr=1.0)
         w = init_weights(cfg, 0)
+        prioritize_model(w)
         with pytest.raises(NumericError, match="client 0: non-finite loss"):
-            local_train(w, spec, profile, prioritize_model(w))
+            local_train(w, spec, profile)
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValidationError):
@@ -250,7 +252,7 @@ class TestLocalTrain:
 def test_local_train_bit_equal_to_out_of_place_sgd(data):
     cfg = replace(data.draw(configs()), max_seq=3)
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    order = prioritize_model(w)
+    prioritize_model(w)
     spec = data.draw(specs(cfg))
     shard = [tiny_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 5)), cfg=cfg)
              for _ in range(data.draw(st.integers(1, 3)))]
@@ -258,18 +260,18 @@ def test_local_train_bit_equal_to_out_of_place_sgd(data):
     before = {k: v.tobytes() for k, v in w.tensors.items()}
     profile = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                             shard=shard, local_epochs=epochs, lr=lr)
-    want = extract_submodel(w, spec, order).tensors
+    want = extract_submodel(w, spec).tensors
     for _ in range(epochs):
         for batch in shard:
             logits, cache = forward(ModelWeights(cfg, want), batch)
             loss, dlogits = softmax_cross_entropy(logits, batch.labels)
             if not np.isfinite(loss):  # underflowed: local_train drops the client here
                 with pytest.raises(NumericError):
-                    local_train(w, spec, profile, order)
+                    local_train(w, spec, profile)
                 return
             g = backward_new(cache, dlogits)
             want = {k: a - lr * g[k] for k, a in want.items()}
-    got = local_train(w, spec, profile, order)
+    got = local_train(w, spec, profile)
     assert {k: v.tobytes() for k, v in w.tensors.items()} == before
     assert list(got.tensors) == list(want)
     for k, v in want.items():
@@ -277,13 +279,6 @@ def test_local_train_bit_equal_to_out_of_place_sgd(data):
 
 
 class TestAggregate:
-    def test_order_of_other_weights_rejected_before_any_update(self):
-        w = init_weights(TINY, 1)
-        narrow = extract_submodel(w, uniform_spec(TINY, 0.5), identity_order(w))
-        for base, order in [(narrow, prioritize_model(w)), (w, prioritize_model(w)[1:])]:
-            with pytest.raises(ShapeError):
-                Fold(base, order)
-
     def test_single_full_update_replaces_global(self):
         g = init_weights(TINY, 1)
         u = init_weights(TINY, 2)
@@ -328,7 +323,7 @@ class TestAggregate:
                    for s in data.draw(st.lists(specs(cfg), min_size=1, max_size=4))]
         g = init_weights(cfg, 1)
         out = fold_all(g, updates)
-        one_at_a_time = Fold(g, identity_order(g))
+        one_at_a_time = Fold(g)
         for update in updates:
             aggregate(one_at_a_time, [update])
         streamed = one_at_a_time.merged()
@@ -353,7 +348,7 @@ class TestAggregate:
     def test_a_fold_merges_once_and_takes_no_update_after(self):
         g = init_weights(TINY, 1)
         update = (full_spec(TINY), init_weights(TINY, 2))
-        fold = Fold(g, identity_order(g))
+        fold = Fold(g)
         aggregate(fold, [update])
         out = fold.merged()
         before = {k: v.tobytes() for k, v in out.tensors.items()}
@@ -368,7 +363,7 @@ class TestAggregate:
         good = [(full_spec(TINY), init_weights(TINY, 2)), (full_spec(TINY), init_weights(TINY, 3))]
         bad = init_weights(TINY, 4)
         bad.tensors["cls.b"] = np.zeros(TINY.n_classes + 1)  # the last tensor checked
-        fold = Fold(g, identity_order(g))
+        fold = Fold(g)
         aggregate(fold, good[:1])
         with pytest.raises(AggregationError):
             aggregate(fold, [(full_spec(TINY), bad)])
@@ -443,32 +438,35 @@ class TestRounds:
 
     def test_diverged_client_is_dropped_not_fatal(self):
         # first step overflows the weights; the second epoch sees a nan loss.
-        # With prioritization on, a round where every client is dropped must
-        # still return the previous global weights, not their prioritized copy.
+        # A round where every client is dropped returns the previous global
+        # as that round prioritized it: the same function, channels reordered.
         w0 = init_weights(TINY, fed_cfg().master_seed)
-        assert any(not np.array_equal(w0.tensors[k], prioritized(w0).tensors[k])
-                   for k in w0.tensors)
-        for permute in (False, True):
+        wp = prioritized(w0)
+        assert any(w0[k].tobytes() != wp[k].tobytes() for k in w0.tensors)
+        batch = tiny_batch(5)
+        for permute, want in ((False, w0), (True, wp)):
             profiles = make_profiles(TINY, 2, lr=1e300, local_epochs=2)
             cfg = fed_cfg(n_clients=2, rounds=2, permute_qk=permute, permute_vo=permute,
                           permute_ffn=permute)
             with np.errstate(all="ignore"):
                 final, log = run_federation(cfg, TINY, profiles)
             assert all(len(r.dropped) == 2 for r in log)
-            assert all(w0.tensors[k].tobytes() == final.tensors[k].tobytes()
-                       for k in w0.tensors)
+            assert all(want[k].tobytes() == final[k].tobytes() for k in w0.tensors)
+            a, b = forward(w0, batch)[0], forward(final, batch)[0]
+            rel = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            assert rel.max() <= 1e-9
 
     def test_each_client_is_extracted_after_the_previous_one_trained(self, monkeypatch):
         events = []
         real_extract, real_train = fed.extract_submodel, fed.local_train
 
-        def extract(w, spec, order):
+        def extract(w, spec):
             events.append(("extract", spec.to_dict()))
-            return real_extract(w, spec, order)
+            return real_extract(w, spec)
 
-        def train(w, spec, profile, order):
+        def train(w, spec, profile):
             events.append(("train", profile.client_id))
-            out = real_train(w, spec, profile, order)
+            out = real_train(w, spec, profile)
             events.append(("trained", profile.client_id))
             return out
 
@@ -489,12 +487,12 @@ class TestRounds:
         real_extract, real_train, real_aggregate = (fed.extract_submodel, fed.local_train,
                                                     fed.aggregate)
 
-        def extract(w, spec, order):
+        def extract(w, spec):
             alive.append([ref() is not None for ref in refs])
-            return real_extract(w, spec, order)
+            return real_extract(w, spec)
 
-        def train(w, spec, profile, order):
-            trained = real_train(w, spec, profile, order)
+        def train(w, spec, profile):
+            trained = real_train(w, spec, profile)
             refs.append(weakref.ref(trained))
             return trained
 
@@ -517,31 +515,37 @@ class TestRounds:
         assert all(ref() is None for ref in refs)
 
     def test_a_round_prioritizes_by_integer_permutations_not_a_copy(self, monkeypatch):
-        orders = []
+        # the round's global is permuted in place, one tensor-sized
+        # temporary at a time
+        calls, peaks = [], []
         real_prioritize = fed.prioritize_model
 
         def prioritize(w, **kw):
-            orders.append(real_prioritize(w, **kw))
-            return orders[-1]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                calls.append((w, real_prioritize(w, **kw)))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
 
         monkeypatch.setattr(fed, "prioritize_model", prioritize)
-        cfg = fed_cfg(ratio_set=(0.5, 1.0), rounds=2)
-        run_federation(cfg, TINY, make_profiles(TINY, 4))
-        widths = reference_slot_widths(nn.full_shapes(TINY), TINY.n_layers, TINY.n_heads)
-        assert len(orders) == cfg.rounds
-        for order in orders:  # one permutation per slot, of the slot's full width
-            assert isinstance(order, list) and len(order) == len(widths)
-            for j, (perm, n) in enumerate(zip(order, widths)):
-                assert isinstance(perm, np.ndarray) and perm.dtype == np.intp, j
-                assert sorted(perm.tolist()) == list(range(n)), j
+        profiles = [ClientProfile(client_id=i, budget=ResourceBudget(10 ** 9),
+                                  shard=[tiny_batch(100 + i, cfg=WIDE)], local_epochs=1,
+                                  lr=0.1) for i in range(2)]
+        cfg = fed_cfg(n_clients=2, ratio_set=(0.5, 1.0), rounds=1)
+        w = init_weights(WIDE, cfg.master_seed)
+        want = prioritized(w)
+        new, _ = run_round(w, 0, profiles, cfg)
+        assert calls == [(w, None)] and new is not w
+        assert all(w[k].tobytes() == want[k].tobytes() for k in w.tensors)
+        assert peaks[0] < 0.5 * w.param_total() * 8
 
     def test_round_holds_two_model_copies_while_clients_train(self, monkeypatch):
         # outside each local_train, the round holds the global and the sums:
         # no prioritized copy
-        cfg_model = ModelConfig(n_layers=2, d_model=64, n_heads=2, d_k=16, d_v=16, d_ff=128,
-                                vocab_size=8, n_classes=3, max_seq=4)
         profiles = [ClientProfile(client_id=i, budget=ResourceBudget(10 ** 9),
-                                  shard=[tiny_batch(100 + i, cfg=cfg_model)], local_epochs=1,
+                                  shard=[tiny_batch(100 + i, cfg=WIDE)], local_epochs=1,
                                   lr=0.1) for i in range(2)]
         held = []
         real_train = fed.local_train
@@ -554,7 +558,7 @@ class TestRounds:
         cfg = fed_cfg(n_clients=2, ratio_set=(0.5, 1.0), rounds=1)
         tracemalloc.start()
         try:
-            w = init_weights(cfg_model, cfg.master_seed)
+            w = init_weights(WIDE, cfg.master_seed)
             run_round(w, 0, profiles, cfg)
         finally:
             tracemalloc.stop()

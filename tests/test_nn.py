@@ -18,7 +18,7 @@ from fedslice.nn import (Batch, Flat, ModelConfig, ModelWeights, attention_score
                          softmax_cross_entropy)
 from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
 from fedslice.tensor import RngStream
-from test_slice_plan import identity_order, specs
+from test_slice_plan import specs
 
 SMALL = ModelConfig(n_layers=1, d_model=6, n_heads=2, d_k=3, d_v=3, d_ff=8,
                     vocab_size=11, n_classes=3, max_seq=8)
@@ -193,7 +193,7 @@ class TestBackward:
 
     def test_gradients_follow_tensor_order(self):
         w = init_weights(SMALL, 5)
-        w = extract_submodel(w, uniform_spec(SMALL, 0.5), identity_order(w))
+        w = extract_submodel(w, uniform_spec(SMALL, 0.5))
         batch = small_batch(3)
         grads = backward_new(*forward_dlogits(w, batch))
         assert list(grads) == list(w.tensors)
@@ -222,8 +222,9 @@ class TestBackward:
 
     def test_one_einsum_per_weight_gradient_group(self, monkeypatch):
         # per layer: w2, w1, wo, and one for every head's wq/wk/wv
-        w = extract_submodel(init_weights(DEEP, 4), uniform_spec(DEEP, 0.5),
-                             prioritize_model(init_weights(DEEP, 4)))
+        w = init_weights(DEEP, 4)
+        prioritize_model(w)
+        w = extract_submodel(w, uniform_spec(DEEP, 0.5))
         cache, dlogits = forward_dlogits(w, small_batch(4, cfg=DEEP))
         calls = []
         einsum = np.einsum
@@ -322,7 +323,8 @@ def test_backward_bit_equal_to_per_head_oracle(data):
                       vocab_size=5, n_classes=data.draw(st.integers(1, 4)), max_seq=9)
     spec = data.draw(specs(cfg))  # head widths down to 1
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    w = extract_submodel(w, spec, prioritize_model(w))
+    prioritize_model(w)
+    w = extract_submodel(w, spec)
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 20)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
     cache, dlogits = forward_dlogits(w, batch)
@@ -493,9 +495,9 @@ def cached_evaluate(w, batch):
 def cache_test_models():
     """SMALL's full model and a prioritized half-width sub-model of DEEP."""
     w = init_weights(DEEP, 8)
-    spec = uniform_spec(DEEP, 0.5)
+    prioritize_model(w)
     return {"small": init_weights(SMALL, 2),
-            "deep-submodel": extract_submodel(w, spec, prioritize_model(w))}
+            "deep-submodel": extract_submodel(w, uniform_spec(DEEP, 0.5))}
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +511,8 @@ def test_chunked_evaluate_bit_equal_to_cached_evaluate(data):
                       vocab_size=5, n_classes=data.draw(st.integers(1, 9)), max_seq=32)
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     if data.draw(st.booleans()):
-        w = extract_submodel(w, data.draw(specs(cfg)), prioritize_model(w))
+        prioritize_model(w)
+        w = extract_submodel(w, data.draw(specs(cfg)))
     batch = small_batch(data.draw(st.integers(0, 99)), n=data.draw(st.integers(1, 40)),
                         seq=data.draw(st.integers(1, cfg.max_seq)), cfg=cfg)
     rows = data.draw(st.integers(1, 200))  # up to 40 chunks, uneven ones included

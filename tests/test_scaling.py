@@ -13,7 +13,7 @@ from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               sample_submodel_spec, slice_plan, uniform_spec,
                               verify_theorem1)
 from fedslice.tensor import RngStream
-from test_slice_plan import identity_order, prioritized
+from test_slice_plan import copy_weights, prioritized
 
 CFG = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_k=4, d_v=4, d_ff=16,
                   vocab_size=11, n_classes=3, max_seq=10)
@@ -77,14 +77,14 @@ class TestJointQkSalience:
 class TestPrioritizeModel:
     def test_all_flags_off_is_identity(self):
         w = init_weights(CFG, 3)
-        order = prioritize_model(w, permute_qk=False, permute_vo=False, permute_ffn=False)
-        assert all(np.array_equal(p, np.arange(len(p))) for p in order)
-        wp = prioritized(w, False, False, False)
-        assert all(np.array_equal(w.tensors[k], wp.tensors[k]) for k in w.tensors)
+        before = {k: v.tobytes() for k, v in w.tensors.items()}
+        prioritize_model(w, permute_qk=False, permute_vo=False, permute_ffn=False)
+        assert {k: v.tobytes() for k, v in w.tensors.items()} == before
 
     def test_function_preservation(self):
         w = init_weights(CFG, 4)
-        wp = prioritized(w)
+        wp = copy_weights(w)
+        prioritize_model(wp)
         for seed in range(16):
             batch = rand_batch(CFG, seed)
             a, _ = forward(w, batch)
@@ -93,7 +93,8 @@ class TestPrioritizeModel:
             assert rel.max() <= 1e-9
 
     def test_salience_non_increasing_after_prioritization(self):
-        wp = prioritized(init_weights(CFG, 5))
+        wp = init_weights(CFG, 5)
+        prioritize_model(wp)
         for h in range(CFG.n_heads):
             s = joint_qk_salience(wp[f"layer0.head{h}.wq"], wp[f"layer0.head{h}.wk"])
             assert np.all(np.diff(s) <= 0)
@@ -101,11 +102,12 @@ class TestPrioritizeModel:
         assert np.all(np.diff(f) <= 0)
 
     def test_idempotent(self):
-        wp = prioritized(init_weights(CFG, 6))
-        assert all(np.array_equal(p, np.arange(len(p))) for p in prioritize_model(wp))
-        wpp = prioritized(wp)
-        assert wpp.tensors.keys() == wp.tensors.keys()
-        assert all(wpp.tensors[k].tobytes() == wp.tensors[k].tobytes() for k in wp.tensors)
+        w = init_weights(CFG, 6)
+        prioritize_model(w)
+        once = {k: v.tobytes() for k, v in w.tensors.items()}
+        prioritize_model(w)
+        assert {k: v.tobytes() for k, v in w.tensors.items()} == once
+        assert all(prioritized(w)[k].tobytes() == once[k] for k in once)
 
 
 class TestVerifyTheorem1:
@@ -155,7 +157,7 @@ class TestParamCount:
     def test_count_by_construction(self):
         spec = SubmodelSpec(ffn_widths=(8,), qk_widths=((2, 2),), v_widths=((4, 4),))
         w = init_weights(CFG, 2)
-        sub = extract_submodel(w, spec, prioritize_model(w))
+        sub = extract_submodel(w, spec)
         assert param_count(spec, CFG) == sub.param_total()
 
 
@@ -214,8 +216,9 @@ class TestSampleSubmodelSpec:
 
 class TestExtractSubmodel:
     def test_full_width_is_value_equal(self):
-        wp = prioritized(init_weights(CFG, 3))
-        sub = extract_submodel(wp, full_spec(CFG), identity_order(wp))
+        wp = init_weights(CFG, 3)
+        prioritize_model(wp)
+        sub = extract_submodel(wp, full_spec(CFG))
         assert all(np.array_equal(wp.tensors[k], sub.tensors[k]) for k in wp.tensors)
 
     def test_keeps_highest_salience_ffn_columns(self):
@@ -223,9 +226,9 @@ class TestExtractSubmodel:
         w1 = np.zeros((CFG.d_model, CFG.d_ff))
         w1[0, :3] = [5.0, 1.0, 3.0]
         w.tensors["layer0.w1"][:] = w1
-        order = prioritize_model(w, permute_qk=False, permute_vo=False)
+        prioritize_model(w, permute_qk=False, permute_vo=False)
         spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((4, 4),), v_widths=((4, 4),))
-        sub = extract_submodel(w, spec, order)
+        sub = extract_submodel(w, spec)
         assert sorted(salience_l1(sub["layer0.w1"])[:2].tolist(),
                       reverse=True) == [5.0, 3.0]
 
@@ -233,11 +236,11 @@ class TestExtractSubmodel:
         for dk in (4, 6, 8):
             cfg = ModelConfig(1, 8, 1, dk, 4, 8, 11, 3, 10)
             w = init_weights(cfg, 10 + dk)
-            order = prioritize_model(w)
-            wq0, wk0 = w["layer0.head0.wq"], w["layer0.head0.wk"]
+            wq0, wk0 = w["layer0.head0.wq"].copy(), w["layer0.head0.wk"].copy()
+            prioritize_model(w)
             for k in range(1, dk + 1):
                 spec = SubmodelSpec(ffn_widths=(8,), qk_widths=((k,),), v_widths=((4,),))
-                sub = extract_submodel(w, spec, order)
+                sub = extract_submodel(w, spec)
                 kept = math.fsum(np.abs(sub["layer0.head0.wq"]).flat) \
                     + math.fsum(np.abs(sub["layer0.head0.wk"]).flat)
                 best = max(
@@ -249,8 +252,9 @@ class TestExtractSubmodel:
     def test_copies_into_one_vector_in_tensor_order(self):
         w = init_weights(CFG, 3)
         wp = prioritized(w)
+        prioritize_model(w)
         spec = uniform_spec(CFG, 0.5)
-        sub = extract_submodel(w, spec, prioritize_model(w))
+        sub = extract_submodel(w, spec)
         plan = slice_plan(spec, {k: v.shape for k, v in wp.tensors.items()})
         assert list(sub.tensors) == list(wp.tensors) and sub.config == wp.config
         assert sub.vector.tobytes() == b"".join(wp.tensors[k][idx].tobytes()
@@ -258,21 +262,10 @@ class TestExtractSubmodel:
         assert all(np.shares_memory(t, sub.vector) for t in sub.tensors.values())
 
     def test_spec_too_wide_rejected(self, monkeypatch):
-        w = init_weights(CFG, 3)
-        narrow = extract_submodel(w, uniform_spec(CFG, 0.5), prioritize_model(w))
+        narrow = extract_submodel(init_weights(CFG, 3), uniform_spec(CFG, 0.5))
         monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
         with pytest.raises(ShapeError):
-            extract_submodel(narrow, full_spec(CFG), identity_order(narrow))
-
-    def test_order_of_other_weights_rejected(self, monkeypatch):
-        # the full model's order on a narrow sub-model would gather columns
-        # past the narrow width (clipped to its last); one slot short is off too
-        w = init_weights(CFG, 3)
-        narrow = extract_submodel(w, uniform_spec(CFG, 0.5), prioritize_model(w))
-        monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
-        for order in (prioritize_model(w), prioritize_model(narrow)[:-1]):
-            with pytest.raises(ShapeError):
-                extract_submodel(narrow, uniform_spec(CFG, 0.5), order)
+            extract_submodel(narrow, full_spec(CFG))
 
     def test_short_head_rows_rejected(self):
         cfg = ModelConfig(n_layers=2, d_model=8, n_heads=2, d_k=4, d_v=4, d_ff=16,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedslice.errors import ShapeError
 from fedslice.fed import Fold, aggregate
-from fedslice.nn import ModelConfig, ModelWeights, full_shapes, init_weights
+from fedslice.nn import Batch, ModelConfig, ModelWeights, forward, full_shapes, init_weights
 from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
                               extract_submodel, full_spec, joint_qk_salience, min_spec,
                               param_count, prioritize_model, rank_channels, salience_l1,
@@ -23,17 +23,14 @@ def copy_weights(w):
     return ModelWeights(w.config, {k: v.copy() for k, v in w.tensors.items()})
 
 
-def identity_order(w):
-    """The order that takes every channel of w where it is."""
-    return prioritize_model(w, permute_qk=False, permute_vo=False, permute_ffn=False)
-
-
-def prioritized(w, *flags):
-    """w (a model or a sub-model) prioritized: all of it, taken through its
-    salience order."""
-    shapes = {k: v.shape for k, v in w.tensors.items()}
-    return extract_submodel(w, spec_of(shapes, w.config.n_layers, w.config.n_heads),
-                            prioritize_model(w, *flags))
+def prioritized(w, permute_qk=True, permute_vo=True, permute_ffn=True):
+    """A prioritized copy of w (a model or a sub-model), built without the
+    code under test: every cut tensor taken through its reference salience
+    order, every other tensor copied."""
+    perms, axes = reference_order(w, permute_qk, permute_vo, permute_ffn), cut_axes(w.config)
+    return ModelWeights(w.config, {name: np.take(arr, perms[name], axis=axes[name])
+                                   if name in perms else arr.copy()
+                                   for name, arr in w.tensors.items()})
 
 
 @st.composite
@@ -63,10 +60,11 @@ def test_count_extract_and_coverage_agree(data):
     cfg = data.draw(configs())
     spec = data.draw(specs(cfg))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    sub = extract_submodel(w, spec, prioritize_model(w))
+    prioritize_model(w)
+    sub = extract_submodel(w, spec)
     # a NaN global: exactly the coordinates the update covers become finite
     nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan) for k, v in w.tensors.items()})
-    fold = Fold(nan_global, identity_order(nan_global))
+    fold = Fold(nan_global)
     aggregate(fold, [(spec, sub)])
     merged = fold.merged()
     covered = sum(int(np.isfinite(v).sum()) for v in merged.tensors.values())
@@ -81,9 +79,9 @@ def test_nested_extraction_equals_direct(data):
     outer = data.draw(specs(cfg))
     inner = data.draw(specs(cfg, within=outer))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    outer_sub = extract_submodel(w, outer, identity_order(w))
-    nested = extract_submodel(outer_sub, inner, identity_order(outer_sub))
-    direct = extract_submodel(w, inner, identity_order(w))
+    outer_sub = extract_submodel(w, outer)
+    nested = extract_submodel(outer_sub, inner)
+    direct = extract_submodel(w, inner)
     assert nested.tensors.keys() == direct.tensors.keys()
     assert all(np.array_equal(nested[k], direct[k]) for k in direct.tensors)
 
@@ -97,7 +95,8 @@ def test_prioritized_extraction_of_a_sampled_spec_fits_the_budget(data):
                                                   param_count(full_spec(cfg), cfg))))
     spec = sample_submodel_spec(cfg, budget, ratios, RngStream(data.draw(st.integers(0, 99))))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    assert extract_submodel(w, spec, prioritize_model(w)).param_total() <= budget.max_params
+    prioritize_model(w)
+    assert extract_submodel(w, spec).param_total() <= budget.max_params
 
 
 def reference_sample(cfg, budget, ratio_set, rng):
@@ -187,8 +186,8 @@ def reference_plan(spec, shapes):
 
 
 def reference_order(w, permute_qk, permute_vo, permute_ffn):
-    """The salience order of every cut tensor, layer by layer, with a branch
-    per head tensor."""
+    """The salience permutation of every cut tensor along its cut axis,
+    layer by layer, with a branch per head tensor."""
     cfg = w.config
     out = {}
     have = reference_widths({n: a.shape for n, a in w.tensors.items()},
@@ -208,13 +207,6 @@ def reference_order(w, permute_qk, permute_vo, permute_ffn):
                                                                           have[family][i])
             out[name] = perm
     return out
-
-
-def reference_slot_widths(shapes, n_layers, n_heads):
-    """A model's widths in slot order: family by family in field order, then
-    layer, then head."""
-    have = reference_widths(shapes, n_layers, n_heads)
-    return [n for family in ("ffn", "qk", "v") for heads in have[family] for n in heads]
 
 
 def cut_axes(cfg):
@@ -240,74 +232,85 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
                           for n, i in zip(full[name], idx)) + full[name][len(idx):]
               for name, idx in reference_plan(outer, full).items()}
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    narrow_w = extract_submodel(w, outer, identity_order(w))
+    narrow_w = extract_submodel(w, outer)
     assert {name: arr.shape for name, arr in narrow_w.tensors.items()} == narrow
-    flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
     for spec, source in [(outer, w), (inner, w), (inner, narrow_w)]:
         shapes = {name: arr.shape for name, arr in source.tensors.items()}
         got, want = slice_plan(spec, shapes), reference_plan(spec, shapes)
         assert list(got) == list(want)
         assert all(same_index(got[name], want[name]) for name in want)
-        # ordered: the reference order's entries at the reference plan's kept indices
-        perms = reference_order(source, *flags)
-        got = slice_plan(spec, shapes, prioritize_model(source, *flags))
-        want = {name: idx[:-1] + (perms[name][idx[-1]],) if idx else ()
-                for name, idx in want.items()}
-        assert list(got) == list(want)
-        assert all(same_index(got[name], want[name]) for name in want)
     if outer != full_spec(cfg):
         with pytest.raises(ShapeError):
             slice_plan(full_spec(cfg), narrow)
-        with pytest.raises(ShapeError):  # the full model's order on the narrow one
-            slice_plan(outer, narrow, prioritize_model(w, *flags))
+
+
+def logits_of(w, cfg, seed):
+    batch = Batch(tokens=np.asarray(RngStream(seed, 1).integers(0, cfg.vocab_size, (3, 1))),
+                  labels=np.zeros(3, dtype=np.int64))
+    return forward(w, batch)[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_prioritize_model_equals_the_reference_byte_for_byte(data):
     cfg = data.draw(configs())
-    w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    w = extract_submodel(w, data.draw(specs(cfg)), identity_order(w))  # sub-models too
-    flags = data.draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
-    shapes = {name: arr.shape for name, arr in w.tensors.items()}
-    order = prioritize_model(w, *flags)
-    assert [len(p) for p in order] == reference_slot_widths(shapes, cfg.n_layers, cfg.n_heads)
-    # the whole model, taken through the order: every cut tensor's index
-    got = slice_plan(spec_of(shapes, cfg.n_layers, cfg.n_heads), shapes, order)
-    want = reference_order(w, *flags)
-    assert {name for name, idx in got.items() if idx} == set(want)
-    for name, perm in want.items():
-        idx = got[name][-1]
-        assert (idx.dtype, idx.shape) == (np.intp, perm.shape), name
-        assert idx.tobytes() == perm.astype(np.intp).tobytes(), name
+    w0 = init_weights(cfg, data.draw(st.integers(0, 99)))
+    if data.draw(st.booleans()):  # sub-models too
+        w0 = extract_submodel(w0, data.draw(specs(cfg)))
+    spec = data.draw(specs(cfg, within=spec_of({k: v.shape for k, v in w0.tensors.items()},
+                                               cfg.n_layers, cfg.n_heads)))
+    seed = data.draw(st.integers(0, 99))
+    for flags in itertools.product([False, True], repeat=3):
+        w = copy_weights(w0)
+        arrays = dict(w.tensors)
+        want = prioritized(w0, *flags)
+        assert prioritize_model(w, *flags) is None
+        assert all(w.tensors[name] is arr for name, arr in arrays.items())  # written in place
+        for name, arr in want.tensors.items():
+            assert w[name].tobytes() == arr.tobytes(), (flags, name)
+        if not any(flags):
+            assert all(w[name].tobytes() == w0[name].tobytes() for name in w.tensors)
+        a, b = logits_of(w0, cfg, seed), logits_of(w, cfg, seed)
+        rel = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        assert rel.max(initial=0.0) <= 1e-9, flags
+        before = {name: arr.tobytes() for name, arr in w.tensors.items()}
+        prioritize_model(w, *flags)
+        assert {name: arr.tobytes() for name, arr in w.tensors.items()} == before, flags
+        # the route before in-place prioritization: gather the unprioritized
+        # weights through the reference order at the reference plan's indices
+        perms = reference_order(w0, *flags)
+        plan = reference_plan(spec, {name: arr.shape for name, arr in w0.tensors.items()})
+        got = extract_submodel(w, spec)
+        for name, idx in plan.items():
+            gathered = (np.take(w0[name], perms[name][idx[-1]], axis=len(idx) - 1)
+                        if idx else w0[name])
+            assert got[name].tobytes() == gathered.tobytes(), (flags, name)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_extraction_and_merge_through_the_order_equal_the_permuted_copy(data):
-    # the route before orders: permute a copy of every cut tensor, then slice
+    # extraction from, and merges into, a global prioritized in place equal
+    # those of its reference prioritized copy
     cfg = data.draw(configs())
-    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    w0 = init_weights(cfg, data.draw(st.integers(0, 99)))
     spec_list = data.draw(st.lists(specs(cfg), min_size=1, max_size=3))
     rng = RngStream(data.draw(st.integers(0, 99)), 0)
-    axes = cut_axes(cfg)
     for flags in itertools.product([False, True], repeat=3):
-        order, perms = prioritize_model(w, *flags), reference_order(w, *flags)
-        copy = ModelWeights(cfg, {name: np.take(arr, perms[name], axis=axes[name])
-                                  if name in axes else arr.copy()
-                                  for name, arr in w.tensors.items()})
-        via_order, via_copy = Fold(w, order), Fold(copy, identity_order(copy))
+        w, copy = copy_weights(w0), prioritized(w0, *flags)
+        prioritize_model(w, *flags)
+        in_place, via_copy = Fold(w), Fold(copy)
         for spec in spec_list:
-            got = extract_submodel(w, spec, order)
+            got = extract_submodel(w, spec)
             plan = slice_plan(spec, {k: v.shape for k, v in copy.tensors.items()})
             want = {name: copy[name][idx] for name, idx in plan.items()}
             assert list(got.tensors) == list(want)
             for name, arr in want.items():
                 assert got[name].tobytes() == arr.tobytes(), (flags, name)
             update = ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in want.items()})
-            aggregate(via_order, [(spec, update)])
+            aggregate(in_place, [(spec, update)])
             aggregate(via_copy, [(spec, update)])
-        got, want = via_order.merged(), via_copy.merged()
+        got, want = in_place.merged(), via_copy.merged()
         for name, arr in want.tensors.items():
             assert got[name].tobytes() == arr.tobytes(), (flags, name)
 
@@ -318,6 +321,6 @@ def test_spec_of_reads_back_the_spec_a_sub_model_was_cut_to(data):
     cfg = data.draw(configs())
     spec = data.draw(specs(cfg))
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
-    sub = extract_submodel(w, spec, identity_order(w))
+    sub = extract_submodel(w, spec)
     shapes = {name: arr.shape for name, arr in sub.tensors.items()}
     assert spec_of(shapes, cfg.n_layers, cfg.n_heads) == spec
