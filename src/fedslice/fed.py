@@ -3,7 +3,7 @@
 One round = prioritize the global weights in place, sample a budget-compliant
 spec per participant, slice out sub-models, train them locally, then fuse: every
 global coordinate becomes the mean over the clients whose spec covers it,
-and uncovered coordinates carry over unchanged. A spec keeps leading
+and uncovered coordinates keep their value. A spec keeps leading
 channels along one axis of each tensor, so how many clients cover a
 coordinate depends only on its index along that axis and on each client's
 width for that slot. So fusion keeps only the specs, and counts coverage
@@ -20,13 +20,12 @@ second vector of the sub-model's layout holds the gradients: every step
 writes its gradients into it and updates the sub-model in place, and
 `backward` frees each layer's activations as it finishes with them. During
 training a round therefore holds two full-size copies of the weights (the
-prioritized global and the sums) besides one client's vectors and
-activations. The sums are divided once, at the end, in place: they become
-the new global, with each uncovered coordinate taken from the prioritized
-global. The fold is freed before evaluation, which then runs beside only
-the previous and the new global. A round that drops every participant
-returns the global as prioritized: the same function, its channels in that
-round's salience order.
+global and the sums) besides one client's vectors and activations. At the
+end the sums are divided straight into the global wherever an update covers
+the coordinate, and freed, so evaluation runs beside one full-size copy,
+the global. A round that drops every participant divides nothing, so the
+global stays as prioritized. A federation keeps one global, which every
+round updates.
 All randomness flows through named Philox streams derived from the master
 seed, one per stage, round and client, so the order of the work does not
 change any draw.
@@ -43,7 +42,7 @@ import numpy as np
 
 from .errors import (AggregationError, ConfigError, NumericError, ValidationError,
                      check_types)
-from .nn import (Batch, Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
+from .nn import (Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan,
@@ -143,8 +142,8 @@ def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> 
 class Fold:
     """A round's coverage average in progress: the base weights (the round's
     prioritized global), the per-tensor sums of the updates added so far,
-    and their specs. A fold is merged once: merging turns its sums into the
-    merged weights in place, and the fold takes no update after that."""
+    and their specs. A fold is merged once, into its base, and takes no
+    update after that."""
 
     def __init__(self, base: ModelWeights):
         self.base = base
@@ -152,19 +151,16 @@ class Fold:
         self.sums = {name: np.zeros_like(arr) for name, arr in base.tensors.items()}
         self.specs = []
 
-    def merged(self) -> ModelWeights:
-        """Per-coordinate mean over the covering updates; an uncovered
-        coordinate keeps the base value. The sums are divided in place and
-        become the returned weights' tensors, so no other model-sized array
-        is made."""
+    def merge(self) -> None:
+        """Overwrite each base coordinate that an update covers with the mean
+        over the covering updates, in place; an uncovered coordinate keeps
+        its value, so a fold with no update leaves the base as it is. The
+        sums are freed."""
         sums = self._open_sums()
         self.sums = None
         cfg = self.base.config
         for name, c in coverage(self.specs, self.shapes, cfg.n_layers, cfg.n_heads).items():
-            np.divide(sums[name], c, out=sums[name], where=c > 0)
-            if not np.all(c > 0):
-                np.copyto(sums[name], self.base[name], where=c == 0)
-        return ModelWeights(cfg, sums)
+            np.divide(sums[name], c, out=self.base[name], where=c > 0)
 
     def _open_sums(self) -> dict[str, np.ndarray]:
         if self.sums is None:
@@ -189,10 +185,9 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
 
 
 def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
-              cfg: FederationConfig, eval_batch=None) -> tuple[ModelWeights, RoundRecord]:
-    """Round t: prioritize `global_w` in place, sample specs, extract, local
-    train, aggregate, evaluate. A round that drops every participant returns
-    `global_w` itself, as prioritized."""
+              cfg: FederationConfig, eval_batch=None) -> RoundRecord:
+    """Round t on `global_w`, in place: prioritize, sample specs, extract,
+    local train, aggregate, merge into `global_w`, evaluate."""
     t0 = time.monotonic()
     seed = cfg.master_seed
 
@@ -226,22 +221,21 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         del trained  # before the next participant's sub-model is extracted
         bytes_up += n_params * BYTES_PER_PARAM
 
-    new_global = fold.merged() if fold.specs else global_w
-    del fold  # the round's sums, before evaluation
+    fold.merge()
 
     record = RoundRecord(round=t, participants=participants, client_specs=client_specs,
                          bytes_down=bytes_down, bytes_up=bytes_up, dropped=dropped)
     if eval_batch is not None and cfg.eval_every > 0 and (t + 1) % cfg.eval_every == 0:
-        record.accuracy, record.loss = evaluate(new_global, eval_batch)
+        record.accuracy, record.loss = evaluate(global_w, eval_batch)
     record.wall_time = time.monotonic() - t0
-
-    return new_global, record
+    return record
 
 
 def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
                    profiles: list[ClientProfile],
                    eval_batch=None) -> tuple[ModelWeights, list[RoundRecord]]:
-    """Initialize from the master seed and execute all rounds."""
+    """Initialize one global from the master seed, run every round on it in
+    place, and return it with the round log."""
     if len(profiles) != cfg.n_clients:
         raise ConfigError(f"{len(profiles)} profiles for {cfg.n_clients} clients")
     floor = param_count(min_spec(model_cfg, cfg.ratio_set), model_cfg)
@@ -251,9 +245,6 @@ def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
                 f"client {p.client_id}: budget {p.budget.max_params} below "
                 f"minimum spec size {floor}")
     w = init_weights(model_cfg, cfg.master_seed)
-    log: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        w, record = run_round(w, t, profiles, cfg, eval_batch=eval_batch)
-        log.append(record)
+    log = [run_round(w, t, profiles, cfg, eval_batch=eval_batch) for t in range(cfg.rounds)]
     return w, log
 

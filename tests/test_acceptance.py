@@ -18,8 +18,7 @@ from fedslice.fed import (STREAM_SELECT, ClientProfile, FederationConfig,
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores, forward,
                          init_weights, softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              param_count, prioritize_model,
-                              uniform_spec, verify_theorem1)
+                              prioritize_model, uniform_spec, verify_theorem1)
 from fedslice.tensor import RngStream
 from test_nn import backward_new
 from test_slice_plan import copy_weights
@@ -172,9 +171,10 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
             shaped = extract_submodel(g, spec)
             updates.append((spec, ModelWeights(
                 cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in shaped.tensors.items()})))
-        fold = Fold(g)
+        out = copy_weights(g)  # the merge writes into its base; g stays the oracle's
+        fold = Fold(out)
         aggregate(fold, updates)
-        out = fold.merged()
+        fold.merge()
         for name, garr in g.tensors.items():
             for idx in np.ndindex(garr.shape):
                 vals = []

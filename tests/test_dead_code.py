@@ -1,7 +1,8 @@
 """No dead code: every top-level function, class and constant in
 src/fedslice is used by the program, in src/fedslice or perfbench/, outside
 its own definition. A name that only tests use fails here, and so does an
-`__all__` entry that names nothing the module defines."""
+`__all__` entry that names nothing the module defines. Every import in
+src/fedslice and tests is used too."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fedslice").glob("*.py"))
 PROGRAM = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def is_all(node):
@@ -66,3 +68,27 @@ def test_every_all_entry_names_a_top_level_definition():
         stale += [f"{path.name}: {name}" for node in body if is_all(node)
                   for name in ast.literal_eval(node.value) if name not in defined]
     assert not stale, f"in __all__ but not defined at top level: {stale}"
+
+
+def imported_names(tree):
+    """The names a module's imports bind, anywhere in it; `from __future__`
+    imports and star imports bind none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name) for a in node.names if a.name != "*")
+
+
+def test_every_import_is_used():
+    # used: loaded anywhere in the module (which covers the base of an
+    # attribute) or exported by a string in its __all__
+    unused = []
+    for path in PACKAGE + TESTS:
+        tree = ast.parse(path.read_text())
+        used = {sub.id for sub in ast.walk(tree)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        used.update(name for node in tree.body if is_all(node)
+                    for name in ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in used]
+    assert not unused, f"imported but never used: {unused}"

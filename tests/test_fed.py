@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fedslice import fed, nn
 from fedslice.errors import AggregationError, ConfigError, NumericError, ValidationError
-from fedslice.fed import (ClientProfile, FederationConfig, Fold, aggregate, local_train,
-                          run_federation, run_round, select_participants)
+from fedslice.fed import (ClientProfile, FederationConfig, Fold, RoundRecord, aggregate,
+                          local_train, run_federation, run_round, select_participants)
 from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
                          softmax_cross_entropy)
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, full_spec,
@@ -19,7 +19,7 @@ from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, fu
 from fedslice.tensor import RngStream
 
 from test_nn import backward_new
-from test_slice_plan import configs, prioritized, specs
+from test_slice_plan import configs, copy_weights, prioritized, specs
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
@@ -61,10 +61,13 @@ def random_update(cfg, spec, rng):
 
 
 def fold_all(global_w, updates):
-    """The merge of one fold that adds every update in one aggregate call."""
-    fold = Fold(global_w)
+    """A copy of global_w merged with one fold that adds every update in one
+    aggregate call; global_w itself is left as it is."""
+    out = copy_weights(global_w)
+    fold = Fold(out)
     aggregate(fold, updates)
-    return fold.merged()
+    fold.merge()
+    return out
 
 
 def oracle_map_coord(name, idx, spec, cfg):
@@ -222,10 +225,11 @@ class TestLocalTrain:
         monkeypatch.setattr(fed, "backward", poisoned)
         cfg = fed_cfg(rounds=1)
         w0 = init_weights(TINY, cfg.master_seed)
-        new, rec = run_round(w0, 0, make_profiles(TINY, 4), cfg)
+        want = prioritized(w0)
+        rec = run_round(w0, 0, make_profiles(TINY, 4), cfg)
         reason = f"non-finite gradient in {middle}; step refused"
         assert rec.dropped == [{"client_id": c, "reason": reason} for c in rec.participants]
-        assert new is w0
+        assert all(w0[k].tobytes() == want[k].tobytes() for k in w0.tensors)
 
     def test_underflowed_loss_drops_the_client(self):
         # the label's probability underflows to 0 in the second epoch: the
@@ -323,10 +327,11 @@ class TestAggregate:
                    for s in data.draw(st.lists(specs(cfg), min_size=1, max_size=4))]
         g = init_weights(cfg, 1)
         out = fold_all(g, updates)
-        one_at_a_time = Fold(g)
+        streamed = copy_weights(g)
+        one_at_a_time = Fold(streamed)
         for update in updates:
             aggregate(one_at_a_time, [update])
-        streamed = one_at_a_time.merged()
+        one_at_a_time.merge()
         expected = oracle_aggregate(g, updates)
         for k in g.tensors:
             assert out.tensors[k].tobytes() == expected[k].tobytes(), k
@@ -350,25 +355,28 @@ class TestAggregate:
         update = (full_spec(TINY), init_weights(TINY, 2))
         fold = Fold(g)
         aggregate(fold, [update])
-        out = fold.merged()
-        before = {k: v.tobytes() for k, v in out.tensors.items()}
+        assert fold.merge() is None
+        before = {k: v.tobytes() for k, v in g.tensors.items()}
+        assert before == {k: v.tobytes() for k, v in update[1].tensors.items()}
         with pytest.raises(AggregationError):
-            fold.merged()
+            fold.merge()
         with pytest.raises(AggregationError):
             aggregate(fold, [update])
-        assert {k: v.tobytes() for k, v in out.tensors.items()} == before
+        assert {k: v.tobytes() for k, v in g.tensors.items()} == before
 
     def test_rejected_update_leaves_the_fold_untouched(self):
         g = init_weights(TINY, 1)
         good = [(full_spec(TINY), init_weights(TINY, 2)), (full_spec(TINY), init_weights(TINY, 3))]
         bad = init_weights(TINY, 4)
         bad.tensors["cls.b"] = np.zeros(TINY.n_classes + 1)  # the last tensor checked
-        fold = Fold(g)
+        out = copy_weights(g)
+        fold = Fold(out)
         aggregate(fold, good[:1])
         with pytest.raises(AggregationError):
             aggregate(fold, [(full_spec(TINY), bad)])
         aggregate(fold, good[1:])
-        out, expected = fold.merged(), fold_all(g, good)
+        fold.merge()
+        expected = fold_all(g, good)
         assert all(out.tensors[k].tobytes() == expected.tensors[k].tobytes() for k in g.tensors)
 
 
@@ -438,8 +446,8 @@ class TestRounds:
 
     def test_diverged_client_is_dropped_not_fatal(self):
         # first step overflows the weights; the second epoch sees a nan loss.
-        # A round where every client is dropped returns the previous global
-        # as that round prioritized it: the same function, channels reordered.
+        # A round where every client is dropped leaves the global as that
+        # round prioritized it: the same function, channels reordered.
         w0 = init_weights(TINY, fed_cfg().master_seed)
         wp = prioritized(w0)
         assert any(w0[k].tobytes() != wp[k].tobytes() for k in w0.tensors)
@@ -473,7 +481,7 @@ class TestRounds:
         monkeypatch.setattr(fed, "extract_submodel", extract)
         monkeypatch.setattr(fed, "local_train", train)
         cfg = fed_cfg(ratio_set=(0.5, 0.75, 1.0), rounds=1)
-        _, rec = run_round(init_weights(TINY, cfg.master_seed), 0, make_profiles(TINY, 4), cfg)
+        rec = run_round(init_weights(TINY, cfg.master_seed), 0, make_profiles(TINY, 4), cfg)
         assert len(rec.participants) == 4
         expected = []
         for cid, cs in zip(rec.participants, rec.client_specs):
@@ -508,7 +516,7 @@ class TestRounds:
                                     shard=profiles[1].shard, local_epochs=2, lr=1e300)
         cfg = fed_cfg(ratio_set=(0.5, 0.75, 1.0), rounds=1)
         with np.errstate(all="ignore"):
-            _, rec = run_round(init_weights(TINY, cfg.master_seed), 0, profiles, cfg)
+            rec = run_round(init_weights(TINY, cfg.master_seed), 0, profiles, cfg)
         assert [d["client_id"] for d in rec.dropped] == [1]
         assert calls == [1, 1, 1]
         assert alive == [[], [False], [False], [False, False]]
@@ -517,7 +525,7 @@ class TestRounds:
     def test_a_round_prioritizes_by_integer_permutations_not_a_copy(self, monkeypatch):
         # the round's global is permuted in place, one tensor-sized
         # temporary at a time
-        calls, peaks = [], []
+        calls, peaks, matches = [], [], []
         real_prioritize = fed.prioritize_model
 
         def prioritize(w, **kw):
@@ -528,6 +536,8 @@ class TestRounds:
                 peaks.append(tracemalloc.get_traced_memory()[1] - start)
             finally:
                 tracemalloc.stop()
+            # before the round's merge writes into w
+            matches.append(all(w[k].tobytes() == want[k].tobytes() for k in w.tensors))
 
         monkeypatch.setattr(fed, "prioritize_model", prioritize)
         profiles = [ClientProfile(client_id=i, budget=ResourceBudget(10 ** 9),
@@ -536,9 +546,9 @@ class TestRounds:
         cfg = fed_cfg(n_clients=2, ratio_set=(0.5, 1.0), rounds=1)
         w = init_weights(WIDE, cfg.master_seed)
         want = prioritized(w)
-        new, _ = run_round(w, 0, profiles, cfg)
-        assert calls == [(w, None)] and new is not w
-        assert all(w[k].tobytes() == want[k].tobytes() for k in w.tensors)
+        rec = run_round(w, 0, profiles, cfg)
+        assert calls == [(w, None)] and isinstance(rec, RoundRecord)
+        assert matches == [True]
         assert peaks[0] < 0.5 * w.param_total() * 8
 
     def test_round_holds_two_model_copies_while_clients_train(self, monkeypatch):
@@ -565,6 +575,32 @@ class TestRounds:
         model_bytes = w.param_total() * 8
         assert len(held) == 2 and max(held) < 2.5 * model_bytes
 
+    def test_evaluation_runs_beside_one_global(self, monkeypatch):
+        # the round merges into its global and evaluates that: no previous
+        # global is alive during evaluation
+        profiles = [ClientProfile(client_id=i, budget=ResourceBudget(10 ** 9),
+                                  shard=[tiny_batch(100 + i, cfg=WIDE)], local_epochs=1,
+                                  lr=0.1) for i in range(2)]
+        evals = tiny_batch(7, n=6, cfg=WIDE)
+        seen = []
+        real_evaluate = fed.evaluate
+
+        def evaluate(weights, batch):
+            seen.append((weights, tracemalloc.get_traced_memory()[0]))
+            return real_evaluate(weights, batch)
+
+        monkeypatch.setattr(fed, "evaluate", evaluate)
+        cfg = fed_cfg(n_clients=2, ratio_set=(0.5, 1.0), rounds=1, eval_every=1)
+        tracemalloc.start()
+        try:
+            w = init_weights(WIDE, cfg.master_seed)
+            rec = run_round(w, 0, profiles, cfg, eval_batch=evals)
+        finally:
+            tracemalloc.stop()
+        assert rec.accuracy is not None and len(seen) == 1
+        weights, held = seen[0]
+        assert weights is w and held < 1.5 * w.param_total() * 8
+
     def test_infeasible_budget_fails_at_setup(self):
         profiles = make_profiles(TINY, 4, budget=ResourceBudget(1))
         with pytest.raises(ConfigError):
@@ -577,9 +613,9 @@ class TestRounds:
                                eval_batch=evals)
         cfg = fed_cfg(rounds=2, **kw)
         w2, log = run_federation(cfg, TINY, make_profiles(TINY, 4), eval_batch=evals)
-        w, rec = run_round(w1, 1, make_profiles(TINY, 4), cfg, eval_batch=evals)
-        assert w.tensors.keys() == w2.tensors.keys()
-        assert all(w.tensors[k].tobytes() == w2.tensors[k].tobytes() for k in w.tensors)
+        rec = run_round(w1, 1, make_profiles(TINY, 4), cfg, eval_batch=evals)
+        assert w1.tensors.keys() == w2.tensors.keys()
+        assert all(w1.tensors[k].tobytes() == w2.tensors[k].tobytes() for k in w1.tensors)
         got, want = asdict(rec), asdict(log[1])
         got.pop("wall_time"), want.pop("wall_time")
         assert got == want and got["round"] == 1 and got["accuracy"] is not None
