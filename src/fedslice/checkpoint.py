@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .nn import ModelConfig, ModelWeights, full_shapes
-from .scaling import spec_of, submodel_shapes
+from .scaling import slice_plan, spec_of
 
 MAGIC = b"RFFM"
 VERSION = 1
@@ -129,7 +129,7 @@ def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
         spec.validate(cfg)
     except ValidationError as exc:
         raise FormatError(f"checkpoint widths do not fit its config: {exc}") from exc
-    for name, shape in submodel_shapes(spec, full).items():
+    for name, (_, shape) in slice_plan(spec, full).items():
         if shapes[name] != shape:
             raise FormatError(f"tensor {name!r} has shape {shapes[name]}, expected {shape}")
     return ModelWeights(cfg, weights)

@@ -45,8 +45,7 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
 from .nn import (Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
-                      param_count, prioritize_model, sample_submodel_spec, slice_plan,
-                      submodel_shapes)
+                      param_count, prioritize_model, sample_submodel_spec, slice_plan)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -175,11 +174,11 @@ def aggregate(fold: Fold, updates: list[tuple[SubmodelSpec, ModelWeights]]) -> N
     for spec, w in updates:
         spec.validate(fold.base.config)
         plan = slice_plan(spec, fold.shapes)
-        for name, shape in submodel_shapes(spec, fold.shapes).items():
+        for name, (_, shape) in plan.items():
             if w.tensors[name].shape != shape:
                 raise AggregationError(f"update tensor {name} has shape "
                                        f"{w.tensors[name].shape}, spec expects {shape}")
-        for name, idx in plan.items():
+        for name, (idx, _) in plan.items():
             sums[name][idx] += w.tensors[name]
         fold.specs.append(spec)
 

@@ -143,13 +143,12 @@ class Flat(ModelWeights):
 
 def init_weights(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) matrices from per-tensor
-    streams; biases zero, layer-norm scale one / shift zero."""
+    streams; every vector zero (biases, layer-norm shifts) except the
+    layer-norm scales, which are one."""
     tensors: dict[str, np.ndarray] = {}
     for idx, (name, shape) in enumerate(full_shapes(cfg).items()):
-        if name.endswith(".scale"):
-            tensors[name] = np.ones(shape)
-        elif name.endswith((".shift", ".bq", ".bk", ".bv", ".bo", ".b1", ".b2", "cls.b")):
-            tensors[name] = np.zeros(shape)
+        if len(shape) == 1:
+            tensors[name] = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
         else:
             bound = 1.0 / np.sqrt(shape[0])  # fan-in
             stream = RngStream(seed, _INIT_STREAM_BASE + idx)

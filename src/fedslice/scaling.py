@@ -11,9 +11,11 @@ rows, which preserves the full forward function exactly.
 
 Which channels each width keeps is worked out in one place, `_layout`: one
 slot per width of a spec, and for every tensor CUTS names, the slots whose
-channels it lays end to end along its cut axis. `slice_plan` lays the kept
-leading channels along it for extraction and fusion; prioritization, shape
-checks, coverage counts, parameter counts and the sampler walk the layout too.
+channels it lays end to end along its cut axis. `slice_plan` is the one
+walk over those cuts that says what a spec keeps: per tensor, the index of
+the kept leading channels and the shape they form, which extraction, fusion
+and checkpoint checks read. Prioritization, coverage counts, parameter
+counts and the sampler walk the layout too.
 """
 
 from __future__ import annotations
@@ -292,34 +294,26 @@ def _stack(picks: list, have: list) -> np.ndarray:
 
 def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     """For every tensor of a model with these shapes, the index that selects
-    the coordinates the spec keeps (``()`` keeps the whole tensor): each
-    slot's leading channels, a slice for a cut of one slot and an index
-    array for one of several (``wo``'s heads). Slots are placed by the
-    model's own widths, so the model may be a sub-model; a spec wider than
-    it raises ShapeError."""
+    the coordinates the spec keeps and the shape they form: ``((), shape)``
+    for a tensor no width cuts, and for a cut one each slot's leading
+    channels (a slice for a cut of one slot, an index array for one of
+    several: ``wo``'s heads) with the cut axis holding their widths' sum.
+    Slots are placed by the model's own widths, so the model may be a
+    sub-model; a spec wider than it raises ShapeError."""
     layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
     keep = _flat(spec)
     have = [shapes[name][axis] for name, axis in layout.sources]
     for (family, i, _), k, n in zip(layout.slots, keep, have):
         if k > n:
             raise ShapeError(f"spec {family} width {k} at layer {i} exceeds the weights' {n}")
-    plan = dict.fromkeys(shapes, ())
+    plan = {name: ((), shape) for name, shape in shapes.items()}
     for name, axis, js in layout.cuts:
         kept = slice(0, keep[js[0]]) if len(js) == 1 else _stack(
             [range(keep[j]) for j in js], [have[j] for j in js])
-        plan[name] = (slice(None),) * axis + (kept,)
-    return plan
-
-
-def submodel_shapes(spec: SubmodelSpec, shapes: dict) -> dict:
-    """The shape of every tensor of the sub-model the spec selects from a
-    model with these shapes: each cut axis holds its slots' widths."""
-    keep = _flat(spec)
-    out = dict(shapes)
-    for name, axis, js in _layout(len(spec.ffn_widths), len(spec.qk_widths[0])).cuts:
         shape = shapes[name]
-        out[name] = shape[:axis] + (sum(keep[j] for j in js),) + shape[axis + 1:]
-    return out
+        plan[name] = ((slice(None),) * axis + (kept,),
+                      shape[:axis] + (sum(keep[j] for j in js),) + shape[axis + 1:])
+    return plan
 
 
 def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
@@ -342,15 +336,14 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
 
 def extract_submodel(w: ModelWeights, spec: SubmodelSpec) -> Flat:
     """Copy out the coordinates the spec keeps into one new vector (a
-    `Flat`): each slot's leading channels in every cut tensor of `w`, every
-    other tensor whole. The plan, which checks the spec against `w`'s
-    widths, is built before anything is allocated."""
+    `Flat`) shaped by the slice plan: each slot's leading channels in every
+    cut tensor of `w`, every other tensor whole. The plan, which checks the
+    spec against `w`'s widths, is built before anything is allocated."""
     spec.validate(w.config)
     src = w.tensors
-    shapes = {name: arr.shape for name, arr in src.items()}
-    plan = slice_plan(spec, shapes)
-    sub = Flat(w.config, submodel_shapes(spec, shapes))
-    for name, idx in plan.items():
+    plan = slice_plan(spec, {name: arr.shape for name, arr in src.items()})
+    sub = Flat(w.config, {name: shape for name, (_, shape) in plan.items()})
+    for name, (idx, _) in plan.items():
         np.copyto(sub.tensors[name], src[name][idx])
     return sub
 
@@ -359,6 +352,6 @@ __all__ = [
     "ResourceBudget", "SubmodelSpec",
     "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
-    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "submodel_shapes",
-    "coverage", "spec_of",
+    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "coverage",
+    "spec_of",
 ]

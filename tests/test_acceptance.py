@@ -20,6 +20,7 @@ from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores, for
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
                               prioritize_model, uniform_spec, verify_theorem1)
 from fedslice.tensor import RngStream
+from test_fed import oracle_aggregate, random_spec
 from test_nn import backward_new
 from test_slice_plan import copy_weights
 
@@ -119,45 +120,6 @@ AGG_CFG = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
                       vocab_size=4, n_classes=3, max_seq=4)
 
 
-def _random_spec(cfg, rng):
-    return SubmodelSpec(
-        ffn_widths=tuple(int(rng.integers(1, cfg.d_ff + 1)) for _ in range(cfg.n_layers)),
-        qk_widths=tuple(tuple(int(rng.integers(1, cfg.d_k + 1)) for _ in range(cfg.n_heads))
-                        for _ in range(cfg.n_layers)),
-        v_widths=tuple(tuple(int(rng.integers(1, cfg.d_v + 1)) for _ in range(cfg.n_heads))
-                       for _ in range(cfg.n_layers)),
-    )
-
-
-def _oracle_map_coord(name, idx, spec, cfg):
-    if name.startswith("layer"):
-        layer = int(name.split(".")[0][5:])
-        rest = name.split(".", 1)[1]
-        if rest.startswith("head"):
-            head = int(rest.split(".")[0][4:])
-            kind = rest.split(".")[1]
-            qk, v = spec.qk_widths[layer][head], spec.v_widths[layer][head]
-            if kind in ("wq", "wk"):
-                return idx if idx[1] < qk else None
-            if kind in ("bq", "bk"):
-                return idx if idx[0] < qk else None
-            if kind == "wv":
-                return idx if idx[1] < v else None
-            if kind == "bv":
-                return idx if idx[0] < v else None
-        elif rest == "wo":
-            r, c = idx
-            head, off = divmod(r, cfg.d_v)
-            if off >= spec.v_widths[layer][head]:
-                return None
-            return (sum(spec.v_widths[layer][:head]) + off, c)
-        elif rest == "w1":
-            return idx if idx[1] < spec.ffn_widths[layer] else None
-        elif rest in ("b1", "w2"):
-            return idx if idx[0] < spec.ffn_widths[layer] else None
-    return idx
-
-
 def test_4_aggregation_matches_brute_force_bit_exactly():
     from fedslice.fed import Fold, aggregate
     t0 = time.monotonic()
@@ -167,7 +129,7 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
         g = init_weights(cfg, case)
         updates = []
         for _ in range(int(rng.integers(1, 4))):
-            spec = _random_spec(cfg, rng)
+            spec = random_spec(cfg, rng)
             shaped = extract_submodel(g, spec)
             updates.append((spec, ModelWeights(
                 cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in shaped.tensors.items()})))
@@ -175,21 +137,9 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
         fold = Fold(out)
         aggregate(fold, updates)
         fold.merge()
-        for name, garr in g.tensors.items():
-            for idx in np.ndindex(garr.shape):
-                vals = []
-                for spec, w in updates:
-                    m = _oracle_map_coord(name, idx, spec, cfg)
-                    if m is not None:
-                        vals.append(w.tensors[name][m])
-                if vals:
-                    s = 0.0
-                    for v in vals:
-                        s += v
-                    expected = s / len(vals)
-                else:
-                    expected = garr[idx]
-                assert out.tensors[name][idx] == expected, (name, idx)
+        expected = oracle_aggregate(g, updates)
+        for name, arr in expected.items():
+            assert out.tensors[name].tobytes() == arr.tobytes(), (case, name)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 4 PASS: 200 random cases bit-equal to the "

@@ -1,10 +1,12 @@
 """No dead code: every top-level function, class and constant in
-src/fedslice is used by the program, in src/fedslice or perfbench/, outside
-its own definition. A name that only tests use fails here, and so does an
-`__all__` entry that names nothing the module defines. Every import in
-src/fedslice and tests is used too."""
+src/fedslice, and every method of its top-level classes but the dunders, is
+used by the program, in src/fedslice or perfbench/, outside its own
+definition. A name that only tests use fails here, and so does an `__all__`
+entry that names nothing the module defines. Every import in src/fedslice
+and tests is used too."""
 
 import ast
+import functools
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -18,10 +20,17 @@ def is_all(node):
                                                 for t in node.targets)
 
 
+@functools.lru_cache(maxsize=None)
 def top_level(path):
     """The module's top-level statements, less its __all__ list, whose
-    strings export names rather than use them."""
+    strings export names rather than use them. Each module is parsed once,
+    so a definition is the same node wherever it is looked up, and its own
+    body never counts as a use of it."""
     return [node for node in ast.parse(path.read_text()).body if not is_all(node)]
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def defined_names(node):
@@ -33,7 +42,7 @@ def defined_names(node):
         names = [node.target.id]
     else:
         names = []
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+    return [n for n in names if not is_dunder(n)]
 
 
 def used_names(node):
@@ -57,6 +66,28 @@ def test_every_top_level_name_is_used_outside_its_definition():
               for path in PACKAGE for node in top_level(path) for name in defined_names(node)
               if not any(name in names for other, names in uses if other is not node)]
     assert not unused, f"defined but never used by the program: {unused}"
+
+
+def methods(path):
+    """(class name, method) for every method of the module's top-level
+    classes that is not a dunder."""
+    return [(node.name, sub) for node in top_level(path) if isinstance(node, ast.ClassDef)
+            for sub in node.body
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not is_dunder(sub.name)]
+
+
+def test_every_method_is_used_outside_its_definition():
+    # a class is split into its decorators, bases and body statements, so a
+    # method used by a sibling method counts and one used only by itself not
+    units = [part for path in PROGRAM for node in top_level(path)
+             for part in ([*node.decorator_list, *node.bases, *node.keywords, *node.body]
+                          if isinstance(node, ast.ClassDef) else [node])]
+    uses = [(unit, used_names(unit)) for unit in units]
+    unused = [f"{path.name}: {cls}.{method.name}"
+              for path in PACKAGE for cls, method in methods(path)
+              if not any(method.name in names for unit, names in uses if unit is not method)]
+    assert not unused, f"methods never used by the program: {unused}"
 
 
 def test_every_all_entry_names_a_top_level_definition():

@@ -1,5 +1,7 @@
-"""Property tests: slicing, fusion and parameter counts select the same
-coordinates, because all three read one slice plan."""
+"""Property tests: extraction, fusion, checkpoint checks and parameter
+counts select the same coordinates. The first three read one slice plan,
+which gives each tensor's kept index and the shape it forms; a reference
+plan built layer by layer checks both."""
 
 import itertools
 import math
@@ -15,7 +17,7 @@ from fedslice.nn import Batch, ModelConfig, ModelWeights, forward, full_shapes, 
 from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
                               extract_submodel, full_spec, joint_qk_salience, min_spec,
                               param_count, prioritize_model, rank_channels, salience_l1,
-                              sample_submodel_spec, slice_plan, spec_of, submodel_shapes)
+                              sample_submodel_spec, slice_plan, spec_of)
 from fedslice.tensor import RngStream
 
 
@@ -69,7 +71,9 @@ def test_count_extract_and_coverage_agree(data):
     fold.merge()
     covered = sum(int(np.isfinite(v).sum()) for v in nan_global.tensors.values())
     assert param_count(spec, cfg) == sub.param_total() == covered
-    assert submodel_shapes(spec, full_shapes(cfg)) == {k: v.shape for k, v in sub.tensors.items()}
+    got = {k: v.shape for k, v in sub.tensors.items()}
+    for plan in (slice_plan, reference_plan):
+        assert {k: shape for k, (_, shape) in plan(spec, full_shapes(cfg)).items()} == got
 
 
 @settings(max_examples=100, deadline=None)
@@ -137,10 +141,11 @@ def test_a_wo_cut_indexes_each_heads_leading_rows():
     cfg = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=3, d_ff=4,
                       vocab_size=4, n_classes=3, max_seq=4)
     spec = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((1, 2),))
-    wo_rows = slice_plan(spec, full_shapes(cfg))["layer0.wo"][0]
+    (wo_rows,), shape = slice_plan(spec, full_shapes(cfg))["layer0.wo"]
     assert wo_rows.tolist() == [0, 3, 4]  # head 0 keeps 1 of its 3 rows, head 1 both of its 2
+    assert shape == (3, 3)
     whole_first = SubmodelSpec(ffn_widths=(2,), qk_widths=((1, 4),), v_widths=((3, 2),))
-    assert slice_plan(whole_first, full_shapes(cfg))["layer0.wo"][0].tolist() == [0, 1, 2, 3, 4]
+    assert slice_plan(whole_first, full_shapes(cfg))["layer0.wo"][0][0].tolist() == [0, 1, 2, 3, 4]
 
 
 def reference_widths(shapes, n_layers, n_heads):
@@ -167,11 +172,12 @@ def reference_stack(picks, have):
 
 
 def reference_plan(spec, shapes):
-    """The slice plan built layer by layer, with a branch per head tensor."""
+    """The slice plan built layer by layer, with a branch per head tensor:
+    per tensor, its index and the shape that index selects."""
     n_layers, n_heads = len(spec.ffn_widths), len(spec.qk_widths[0])
     keep = {"ffn": [(w,) for w in spec.ffn_widths], "qk": spec.qk_widths, "v": spec.v_widths}
     have = reference_widths(shapes, n_layers, n_heads)
-    plan = dict.fromkeys(shapes, ())
+    plan = {name: ((), shape) for name, shape in shapes.items()}
     for i in range(n_layers):
         for name, family, axis, h in reference_cuts(i, n_heads):
             k, hv = tuple(keep[family][i]), have[family][i]
@@ -181,7 +187,9 @@ def reference_plan(spec, shapes):
                 kept = slice(0, k[0])
             else:
                 kept = reference_stack([range(n) for n in k], hv)
-            plan[name] = (slice(None),) * axis + (kept,)
+            idx = (slice(None),) * axis + (kept,)
+            plan[name] = idx, tuple(len(range(n)[ix]) if isinstance(ix, slice) else len(ix)
+                                    for n, ix in zip(shapes[name], idx)) + shapes[name][axis + 1:]
     return plan
 
 
@@ -228,9 +236,7 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
     full = full_shapes(cfg)
     outer = data.draw(specs(cfg))
     inner = data.draw(specs(cfg, within=outer))
-    narrow = {name: tuple(len(range(n)[i]) if isinstance(i, slice) else len(i)
-                          for n, i in zip(full[name], idx)) + full[name][len(idx):]
-              for name, idx in reference_plan(outer, full).items()}
+    narrow = {name: shape for name, (_, shape) in reference_plan(outer, full).items()}
     w = init_weights(cfg, data.draw(st.integers(0, 99)))
     narrow_w = extract_submodel(w, outer)
     assert {name: arr.shape for name, arr in narrow_w.tensors.items()} == narrow
@@ -238,7 +244,8 @@ def test_slice_plan_equals_the_reference_builder_on_full_and_narrow_sources(data
         shapes = {name: arr.shape for name, arr in source.tensors.items()}
         got, want = slice_plan(spec, shapes), reference_plan(spec, shapes)
         assert list(got) == list(want)
-        assert all(same_index(got[name], want[name]) for name in want)
+        assert all(same_index(got[name][0], want[name][0]) for name in want)
+        assert all(got[name][1] == want[name][1] for name in want)
     if outer != full_spec(cfg):
         with pytest.raises(ShapeError):
             slice_plan(full_spec(cfg), narrow)
@@ -281,7 +288,7 @@ def test_prioritize_model_equals_the_reference_byte_for_byte(data):
         perms = reference_order(w0, *flags)
         plan = reference_plan(spec, {name: arr.shape for name, arr in w0.tensors.items()})
         got = extract_submodel(w, spec)
-        for name, idx in plan.items():
+        for name, (idx, _) in plan.items():
             gathered = (np.take(w0[name], perms[name][idx[-1]], axis=len(idx) - 1)
                         if idx else w0[name])
             assert got[name].tobytes() == gathered.tobytes(), (flags, name)
@@ -303,7 +310,7 @@ def test_extraction_and_merge_through_the_order_equal_the_permuted_copy(data):
         for spec in spec_list:
             got = extract_submodel(w, spec)
             plan = slice_plan(spec, {k: v.shape for k, v in copy.tensors.items()})
-            want = {name: copy[name][idx] for name, idx in plan.items()}
+            want = {name: copy[name][idx] for name, (idx, _) in plan.items()}
             assert list(got.tensors) == list(want)
             for name, arr in want.items():
                 assert got[name].tobytes() == arr.tobytes(), (flags, name)
