@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,8 +43,8 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
                      check_types)
 from .nn import (Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
-from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, min_spec,
-                      param_count, prioritize_model, sample_submodel_spec, slice_plan)
+from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, fraction_of,
+                      min_spec, param_count, prioritize_model, sample_submodel_spec, slice_plan)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -110,10 +109,9 @@ class RoundRecord:
 
 
 def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int]:
-    """ceil(rate * n_clients) distinct ids, uniform without replacement. The
-    product is exact for the decimal the rate is written as: 0.07 of 100
-    clients is 7, where binary floating point gives 7.000000000000001."""
-    k = math.ceil(Fraction(repr(float(rate))) * n_clients)
+    """ceil(rate * n_clients) distinct ids (see `fraction_of`), uniform
+    without replacement."""
+    k = fraction_of(rate, n_clients, math.ceil)
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 

@@ -10,12 +10,13 @@ value/output and FFN permutations are mirrored on the consuming matrix's
 rows, which preserves the full forward function exactly.
 
 Which channels each width keeps is worked out in one place, `_layout`: one
-slot per width of a spec, and for every tensor CUTS names, the slots whose
-channels it lays end to end along its cut axis. `slice_plan` is the one
-walk over those cuts that says what a spec keeps: per tensor, the index of
-the kept leading channels and the shape they form, which extraction, fusion
-and checkpoint checks read. Prioritization, coverage counts, parameter
-counts and the sampler walk the layout too.
+slot per width of a spec; for every tensor CUTS names, the slots whose
+channels it lays end to end along its cut axis; and per slot, the matrices
+that give its width and score its channels. `slice_plan` is the one walk
+over those cuts that says what a spec keeps: per tensor, the index of the
+kept leading channels and the shape they form, which extraction, fusion and
+checkpoint checks read. Prioritization, coverage counts, parameter counts
+and the sampler walk the layout too; only CUTS spells a tensor name.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -102,32 +104,36 @@ _MAX_ATTEMPTS = 100  # sampler draws before it falls back to the floor spec
 
 
 class _Layout(NamedTuple):
-    slots: tuple    # (family, layer, head) per width of a spec; head is None per layer
-    cuts: tuple     # (tensor, axis, indices of the slots laid end to end along axis)
-    sources: tuple  # (tensor, axis) per slot: where a model's own width is read
+    slots: tuple   # (family, layer, head) per width of a spec; head is None per layer
+    cuts: tuple    # (tensor, axis, indices of the slots laid end to end along axis)
+    scored: tuple  # per slot: the matrices it alone cuts along their columns
+
+    def widths(self, shapes: dict) -> list:
+        """A model's own width per slot: its first scored matrix's column count."""
+        return [shapes[names[0]][1] for names in self.scored]
 
 
 @functools.lru_cache(maxsize=16)
 def _layout(n_layers: int, n_heads: int) -> _Layout:
     """Where every width of a spec of this shape lives. Slots run family by
     family in field order, then by layer, then by head: the order of
-    `_flat`, `_spec` and the sampler's draws. A slot's source is the first
-    tensor CUTS lists that it cuts alone."""
+    `_flat`, `_spec` and the sampler's draws. A slot's scored matrices are
+    those CUTS lists as cut by it alone along axis 1, in CUTS order."""
     slots = tuple((family, i, h) for family in _FAMILIES for i in range(n_layers)
                   for h in (range(n_heads) if family in _PER_HEAD else [None]))
     by_layer = {}  # (family, layer) -> indices of its slots, in head order
     for j, (family, i, _) in enumerate(slots):
         by_layer[family, i] = by_layer.get((family, i), ()) + (j,)
-    cuts, sources = [], {}
+    cuts, scored = [], [() for _ in slots]
     for i in range(n_layers):
         for tmpl, (family, axis) in CUTS.items():
             layer = by_layer[family, i]
             for h, js in enumerate([(j,) for j in layer]) if "{h}" in tmpl else [(None, layer)]:
                 name = f"layer{i}.{tmpl.format(h=h)}"
                 cuts.append((name, axis, js))
-                if len(js) == 1:
-                    sources.setdefault(js[0], (name, axis))
-    return _Layout(slots, tuple(cuts), tuple(sources[j] for j in range(len(slots))))
+                if axis == 1 and len(js) == 1:
+                    scored[js[0]] += (name,)
+    return _Layout(slots, tuple(cuts), tuple(scored))
 
 
 def _flat(spec: SubmodelSpec) -> list:
@@ -152,8 +158,15 @@ def full_spec(cfg: ModelConfig) -> SubmodelSpec:
     return spec_of(full_shapes(cfg), cfg.n_layers, cfg.n_heads)
 
 
+def fraction_of(fraction: float, n: int, rounding) -> int:
+    """rounding(fraction x n), the product exact for the decimal the fraction
+    is written as: 0.07 of 100 is 7, not 7.000000000000001. Widths and
+    participant counts take math.ceil, budgets math.floor."""
+    return rounding(Fraction(repr(float(fraction))) * n)
+
+
 def uniform_spec(cfg: ModelConfig, ratio: float) -> SubmodelSpec:
-    return _spec([max(1, math.ceil(ratio * m)) for m in _flat(full_spec(cfg))],
+    return _spec([max(1, fraction_of(ratio, m, math.ceil)) for m in _flat(full_spec(cfg))],
                  cfg.n_layers, cfg.n_heads)
 
 
@@ -172,44 +185,28 @@ def rank_channels(s: np.ndarray) -> np.ndarray:
     return np.argsort(-s, kind="stable")
 
 
-def joint_qk_salience(wq_head: np.ndarray, wk_head: np.ndarray) -> np.ndarray:
-    """Per-channel mean of the query and key column saliences."""
-    if wq_head.shape[1] != wk_head.shape[1]:
-        raise ShapeError(f"query/key channel mismatch: {wq_head.shape} vs {wk_head.shape}")
-    return (salience_l1(wq_head) + salience_l1(wk_head)) / 2.0
-
-
 def prioritize_model(w: ModelWeights, permute_qk: bool = True, permute_vo: bool = True,
                      permute_ffn: bool = True) -> None:
     """Permute `w` in place, function-preservingly, so every width slot of
     `_layout` holds its most salient channels first.
 
-    Per head the SAME joint-salience permutation orders W^q and W^k columns
-    (and their biases). With permute_vo, a per-head W^v column permutation
-    also orders the head's W^o rows; with permute_ffn, the W^1 column
-    permutation also orders W^2 rows. A family whose flag is off is not
+    A slot's channels are scored by their mean L1 salience over the
+    matrices it scores (`_Layout.scored`: a head's W^q and W^k jointly, its
+    W^v, a layer's W^1), and that one ranking orders every tensor the slot
+    cuts, biases and W^o or W^2 rows too. A family whose flag is off is not
     touched. Every permutation is ranked before any is applied, and each
     cut tensor is rewritten through one `np.take` temporary of its own size.
     """
     cfg = w.config
     layout = _layout(cfg.n_layers, cfg.n_heads)
-    have = [w[name].shape[axis] for name, axis in layout.sources]
     on = {"qk": permute_qk, "v": permute_vo, "ffn": permute_ffn}
-    perms = []  # one per slot
-    for family, i, h in layout.slots:
-        p = f"layer{i}.head{h}"
-        if not on[family]:
-            perms.append(None)
-        elif family == "qk":
-            perms.append(rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"])))
-        elif family == "v":
-            perms.append(rank_channels(salience_l1(w[f"{p}.wv"])))
-        else:
-            perms.append(rank_channels(salience_l1(w[f"layer{i}.w1"])))
+    perms = [rank_channels(sum(salience_l1(w[name]) for name in names) / len(names))
+             if on[family] else None
+             for (family, _, _), names in zip(layout.slots, layout.scored)]
     for name, axis, js in layout.cuts:
         if perms[js[0]] is not None:  # the slots of one cut share a family
-            perm = perms[js[0]] if len(js) == 1 else _stack([perms[j] for j in js],
-                                                            [have[j] for j in js])
+            picks = [perms[j] for j in js]
+            perm = picks[0] if len(js) == 1 else _stack(picks, list(map(len, picks)))
             arr = w.tensors[name]
             arr[...] = np.take(arr, perm, axis=axis)
 
@@ -281,8 +278,7 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
 
 def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:
     """The spec whose widths a model with these tensor shapes has."""
-    return _spec([shapes[name][axis] for name, axis in _layout(n_layers, n_heads).sources],
-                 n_layers, n_heads)
+    return _spec(_layout(n_layers, n_heads).widths(shapes), n_layers, n_heads)
 
 
 def _stack(picks: list, have: list) -> np.ndarray:
@@ -302,7 +298,7 @@ def slice_plan(spec: SubmodelSpec, shapes: dict) -> dict:
     sub-model; a spec wider than it raises ShapeError."""
     layout = _layout(len(spec.ffn_widths), len(spec.qk_widths[0]))
     keep = _flat(spec)
-    have = [shapes[name][axis] for name, axis in layout.sources]
+    have = layout.widths(shapes)
     for (family, i, _), k, n in zip(layout.slots, keep, have):
         if k > n:
             raise ShapeError(f"spec {family} width {k} at layer {i} exceeds the weights' {n}")
@@ -325,8 +321,8 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     layout = _layout(n_layers, n_heads)
     kept = np.array([_flat(spec) for spec in specs], dtype=np.int64).reshape(
         len(specs), len(layout.slots))
-    per_slot = [(kept[:, j, None] > np.arange(shapes[name][axis])).sum(axis=0)
-                for j, (name, axis) in enumerate(layout.sources)]
+    per_slot = [(kept[:, j, None] > np.arange(n)).sum(axis=0)
+                for j, n in enumerate(layout.widths(shapes))]
     out = dict.fromkeys(shapes, len(specs))
     for name, axis, js in layout.cuts:
         out[name] = np.concatenate([per_slot[j] for j in js]).reshape(
@@ -350,8 +346,8 @@ def extract_submodel(w: ModelWeights, spec: SubmodelSpec) -> Flat:
 
 __all__ = [
     "ResourceBudget", "SubmodelSpec",
-    "salience_l1", "rank_channels", "joint_qk_salience", "prioritize_model",
+    "salience_l1", "rank_channels", "prioritize_model",
     "verify_theorem1", "param_count", "sample_submodel_spec", "extract_submodel",
-    "full_spec", "uniform_spec", "min_spec", "CUTS", "slice_plan", "coverage",
+    "full_spec", "fraction_of", "uniform_spec", "min_spec", "CUTS", "slice_plan", "coverage",
     "spec_of",
 ]

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import data as data_mod
 from .config import RunConfig
 from .fed import ClientProfile, run_federation
 from .nn import Batch
-from .scaling import ResourceBudget, full_spec, param_count
+from .scaling import ResourceBudget, fraction_of, full_spec, param_count
 
 
 def build_profiles(cfg: RunConfig):
     """Generate the task, hold out its last samples as the eval batch (None
     when eval_fraction rounds to none), partition the rest across clients,
-    and assign cyclic budget fractions."""
+    and assign cyclic budget fractions, each floored to a parameter count."""
     tokens, labels = data_mod.generate(cfg.task)
     n_eval = int(round(cfg.eval_fraction * cfg.task.n_samples))
     n_train = cfg.task.n_samples - n_eval
@@ -29,7 +31,7 @@ def build_profiles(cfg: RunConfig):
         frac = cfg.budget_fractions[cid % len(cfg.budget_fractions)]
         profiles.append(ClientProfile(
             client_id=cid,
-            budget=ResourceBudget(max_params=int(frac * full_params)),
+            budget=ResourceBudget(max_params=fraction_of(frac, full_params, math.floor)),
             shard=data_mod.batches_from_indices(train_tokens, train_labels,
                                                 shard_idx, cfg.batch_size),
             local_epochs=cfg.local_epochs,

@@ -3,6 +3,7 @@ PASS line with the measured quantity (run with -s to see them)."""
 
 import json
 import math
+import pathlib
 import time
 from itertools import combinations
 
@@ -23,6 +24,8 @@ from fedslice.tensor import RngStream
 from test_fed import oracle_aggregate, random_spec
 from test_nn import backward_new
 from test_slice_plan import copy_weights
+
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_1_theorem_invariance_and_negative_control():
@@ -122,7 +125,7 @@ AGG_CFG = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
 
 def test_4_aggregation_matches_brute_force_bit_exactly():
     from fedslice.fed import Fold, aggregate
-    t0 = time.monotonic()
+    t0 = time.process_time()  # this process's CPU time: other jobs do not count
     cfg = AGG_CFG
     for case in range(200):
         rng = RngStream(404, case)
@@ -140,7 +143,7 @@ def test_4_aggregation_matches_brute_force_bit_exactly():
         expected = oracle_aggregate(g, updates)
         for name, arr in expected.items():
             assert out.tensors[name].tobytes() == arr.tobytes(), (case, name)
-    elapsed = time.monotonic() - t0
+    elapsed = time.process_time() - t0
     assert elapsed < 1.0
     print(f"ACCEPTANCE 4 PASS: 200 random cases bit-equal to the "
           f"per-coordinate oracle, {elapsed:.2f}s")
@@ -230,12 +233,31 @@ def _desk_config(ratio_set, budget_fractions, spp_on):
     }))
 
 
+def _numerics_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return f"numpy {np.__version__} and BLAS {blas}"
+
+
 def test_7_desk_scale_run_vs_full_baseline():
     from fedslice.sim import run_simulation
     t0 = time.monotonic()
-    _, _, sub = run_simulation(_desk_config([0.5, 0.75, 1.0], [0.65, 0.8, 1.0], True))
+    _, log, sub = run_simulation(_desk_config([0.5, 0.75, 1.0], [0.65, 0.8, 1.0], True))
     _, _, base = run_simulation(_desk_config([1.0], [1.0], False))
     elapsed = time.monotonic() - t0
+
+    # the subnetwork run is the benchmark's desk variant 0, bit for bit
+    want = json.loads(REFERENCE.read_text())["desk"][0]
+    got = {k: sub[k] for k in want if k != "dropped"}
+    got["dropped"] = sum(len(r.dropped) for r in log)
+    assert got == want, (
+        f"desk variant 0 gave {got}, not perfbench/reference.json's {want}, with "
+        f"{_numerics_build()}. The reference holds for the build it was recorded "
+        "with; only a change meant to alter numerics re-records it "
+        "(perfbench/make_reference.py).")
 
     full = sub["full_model_params"]
     assert sub["mean_client_params"] <= 0.8 * full

@@ -263,6 +263,15 @@ class TestBuildProfiles:
         assert eval_batch.labels.tobytes() == labels[-n_eval:].tobytes()
         assert sum(len(b) for p in profiles for b in p.shard) == cfg.task.n_samples - n_eval
 
+    def test_budgets_floor_the_exact_decimal_product(self):
+        doc = run_config_doc()
+        doc["model"].update(d_model=6, d_ff=8)  # 300 parameters
+        doc["clients"]["budget_fractions"] = [0.57, 0.659]
+        profiles, _, full = build_profiles(parse_run_config(json.dumps(doc)))
+        assert full == 300 and int(0.57 * full) == 170  # binary floating point: 170.99...
+        assert round(0.659 * full) == 198  # 197.7 floors to 197
+        assert [p.budget.max_params for p in profiles] == [171, 197, 171, 197]
+
     @pytest.mark.parametrize("fraction", [0.0, 0.004])  # 0.48 of 120 samples rounds to none
     def test_without_eval_samples_no_round_is_scored(self, tmp_path, fraction):
         doc = run_config_doc()

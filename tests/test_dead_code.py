@@ -3,11 +3,12 @@ src/fedslice, and every method of its top-level classes but the dunders, is
 used by the program, in src/fedslice or perfbench/, outside its own
 definition. A name that only tests use fails here, and so does an `__all__`
 entry that names nothing the module defines. Every import in src/fedslice
-and tests is used too."""
+and tests is used too, and scaling.py spells no tensor name outside CUTS."""
 
 import ast
 import functools
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fedslice").glob("*.py"))
@@ -123,3 +124,18 @@ def test_every_import_is_used():
                     for name in ast.literal_eval(node.value))
         unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_scaling_names_tensors_only_in_cuts():
+    # every per-slot rule reads its tensors from CUTS through the layout, so
+    # no other string in scaling.py spells a tensor name (".wq", "head{" ...)
+    body = ast.parse((ROOT / "src" / "fedslice" / "scaling.py").read_text()).body
+    cuts = next(node for node in body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "CUTS")
+    leaves = {tmpl.rsplit(".", 1)[-1] for tmpl in ast.literal_eval(cuts.value)}
+    spelled = re.compile(rf"\.({'|'.join(sorted(leaves))})\b|head\{{")
+    strings = [ast.unparse(sub) for node in body if node is not cuts for sub in ast.walk(node)
+               if isinstance(sub, ast.JoinedStr)
+               or (isinstance(sub, ast.Constant) and isinstance(sub.value, str))]
+    named = [text for text in strings if spelled.search(text)]
+    assert not named, f"scaling.py names tensors outside CUTS: {named}"

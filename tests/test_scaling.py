@@ -6,13 +6,12 @@ import pytest
 from fedslice import scaling
 from fedslice.errors import ShapeError, ValidationError
 from fedslice.nn import Batch, ModelConfig, forward, init_weights
-from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel,
-                              full_spec, joint_qk_salience, min_spec, param_count,
-                              prioritize_model, rank_channels, salience_l1,
-                              sample_submodel_spec, slice_plan, uniform_spec,
+from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, fraction_of,
+                              full_spec, min_spec, param_count, prioritize_model, rank_channels,
+                              salience_l1, sample_submodel_spec, slice_plan, uniform_spec,
                               verify_theorem1)
 from fedslice.tensor import RngStream
-from test_slice_plan import copy_weights, prioritized
+from test_slice_plan import copy_weights, joint_qk, prioritized
 
 CFG = ModelConfig(n_layers=1, d_model=8, n_heads=2, d_k=4, d_v=4, d_ff=16,
                   vocab_size=11, n_classes=3, max_seq=10)
@@ -50,27 +49,26 @@ class TestRankChannels:
     def test_already_descending_is_identity(self):
         assert rank_channels(np.array([5.0, 4.0, 3.0])).tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("n", [16, 17, 64, 256])
+    def test_stable_tie_break_on_many_ties(self, n):
+        # numpy's default argsort reorders tied entries from 15 of them on
+        s = np.tile([1.0, 2.0], n)[:n]
+        assert rank_channels(s).tolist() == [*range(1, n, 2), *range(0, n, 2)]
 
-class TestJointQkSalience:
-    def test_averages_column_norms(self):
-        wq = np.array([[4.0, 2.0]])   # col saliences [4, 2]
-        wk = np.array([[0.0, -6.0]])  # col saliences [0, 6]
-        assert np.array_equal(joint_qk_salience(wq, wk), [2.0, 4.0])
 
-    def test_equal_matrices_reduce_to_single_salience(self):
-        rng = RngStream(1, 0)
-        wq = rng.uniform(-1, 1, (5, 3))
-        assert np.allclose(joint_qk_salience(wq, wq), salience_l1(wq), atol=1e-15)
+class TestFractionOf:
+    @pytest.mark.parametrize("ratio, width", [(0.07, 7), (0.55, 55)])
+    def test_uniform_width_is_exact_for_the_decimal_ratio(self, ratio, width):
+        cfg = ModelConfig(n_layers=1, d_model=4, n_heads=1, d_k=2, d_v=2, d_ff=100,
+                          vocab_size=3, n_classes=2, max_seq=4)
+        assert math.ceil(ratio * 100) == width + 1  # binary floating point is one too wide
+        assert uniform_spec(cfg, ratio).ffn_widths == (width,)
 
-    def test_zero_key_halves(self):
-        rng = RngStream(2, 0)
-        wq = rng.uniform(-1, 1, (5, 3))
-        assert np.allclose(joint_qk_salience(wq, np.zeros_like(wq)),
-                           salience_l1(wq) / 2, atol=1e-15)
-
-    def test_mismatched_widths_rejected(self):
-        with pytest.raises(ShapeError):
-            joint_qk_salience(np.zeros((4, 3)), np.zeros((4, 2)))
+    @pytest.mark.parametrize("fraction, n, rounding, count", [
+        (0.07, 100, math.ceil, 7), (0.29, 100, math.floor, 29),
+        (0.65, 3507, math.floor, 2279)])
+    def test_rounds_the_exact_product(self, fraction, n, rounding, count):
+        assert fraction_of(fraction, n, rounding) == count
 
 
 class TestPrioritizeModel:
@@ -95,7 +93,7 @@ class TestPrioritizeModel:
         wp = init_weights(CFG, 5)
         prioritize_model(wp)
         for h in range(CFG.n_heads):
-            s = joint_qk_salience(wp[f"layer0.head{h}.wq"], wp[f"layer0.head{h}.wk"])
+            s = joint_qk(wp[f"layer0.head{h}.wq"], wp[f"layer0.head{h}.wk"])
             assert np.all(np.diff(s) <= 0)
         f = salience_l1(wp["layer0.w1"])
         assert np.all(np.diff(f) <= 0)

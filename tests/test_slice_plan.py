@@ -5,6 +5,7 @@ plan built layer by layer checks both."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from fedslice.errors import ShapeError
 from fedslice.fed import Fold, aggregate
 from fedslice.nn import Batch, ModelConfig, ModelWeights, forward, full_shapes, init_weights
 from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
-                              extract_submodel, full_spec, joint_qk_salience, min_spec,
-                              param_count, prioritize_model, rank_channels, salience_l1,
+                              extract_submodel, full_spec, min_spec, param_count,
+                              prioritize_model, rank_channels, salience_l1,
                               sample_submodel_spec, slice_plan, spec_of)
 from fedslice.tensor import RngStream
 
@@ -105,11 +106,14 @@ def test_prioritized_extraction_of_a_sampled_spec_fits_the_budget(data):
 
 def reference_sample(cfg, budget, ratio_set, rng):
     """The sampler drawn the long way: one scalar draw per width, family by
-    family, then layer and head, and a param_count per attempt."""
+    family, then layer and head, and a param_count per attempt. A width is
+    the ceiling of the exact product of the ratio's decimal and the full
+    width."""
     ratios, full = sorted(ratio_set), full_spec(cfg)
 
     def draw(maximum):
-        return max(1, math.ceil(ratios[rng.integers(0, len(ratios))] * maximum))
+        ratio = Fraction(repr(ratios[rng.integers(0, len(ratios))]))
+        return max(1, math.ceil(ratio * maximum))
 
     for _ in range(_MAX_ATTEMPTS):
         spec = SubmodelSpec(
@@ -193,6 +197,11 @@ def reference_plan(spec, shapes):
     return plan
 
 
+def joint_qk(wq, wk):
+    """A head's query/key channel score: the mean of the two column saliences."""
+    return (salience_l1(wq) + salience_l1(wk)) / 2.0
+
+
 def reference_order(w, permute_qk, permute_vo, permute_ffn):
     """The salience permutation of every cut tensor along its cut axis,
     layer by layer, with a branch per head tensor."""
@@ -205,7 +214,7 @@ def reference_order(w, permute_qk, permute_vo, permute_ffn):
         for h in range(cfg.n_heads):
             p = f"layer{i}.head{h}"
             if permute_qk:
-                perms["qk"][h] = rank_channels(joint_qk_salience(w[f"{p}.wq"], w[f"{p}.wk"]))
+                perms["qk"][h] = rank_channels(joint_qk(w[f"{p}.wq"], w[f"{p}.wk"]))
             if permute_vo:
                 perms["v"][h] = rank_channels(salience_l1(w[f"{p}.wv"]))
         if permute_ffn:
