@@ -15,6 +15,7 @@ from .data import PartitionSpec, TaskSpec
 from .errors import ConfigError, ValidationError, check_size, check_types
 from .fed import FederationConfig
 from .nn import ModelConfig
+from .scaling import fraction_of
 
 # the required sections, each a RunConfig field; `spp` and `clients` are optional
 _SECTIONS = ("model", "federation", "task", "partition")
@@ -38,8 +39,8 @@ class RunConfig:
         for name, low in (("local_epochs", 0), ("batch_size", 1), ("lr", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"clients.{name} must be >= {low}: {getattr(self, name)!r}")
-        if not 0 <= self.eval_fraction < 1 \
-                or round(self.eval_fraction * self.task.n_samples) >= self.task.n_samples:
+        n = self.task.n_samples
+        if not 0 <= self.eval_fraction < 1 or fraction_of(self.eval_fraction, n, round) >= n:
             raise ConfigError("clients.eval_fraction must be in [0, 1) and leave training data")
         if not self.budget_fractions or not all(0 < f <= 1 for f in self.budget_fractions):
             raise ConfigError("clients.budget_fractions must be a non-empty list of "

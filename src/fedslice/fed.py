@@ -44,7 +44,7 @@ from .errors import (AggregationError, ConfigError, NumericError, ValidationErro
 from .nn import (Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
                  init_weights, sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, fraction_of,
-                      min_spec, param_count, prioritize_model, sample_submodel_spec, slice_plan)
+                      param_count, prioritize_model, sample_submodel_spec, slice_plan)
 from .tensor import RngStream
 
 BYTES_PER_PARAM = 8
@@ -203,9 +203,6 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
         spec_rng = RngStream(seed, STREAM_SPEC + (t << 20) + cid)
         spec = sample_submodel_spec(model_cfg, profile.budget, cfg.ratio_set, spec_rng)
         n_params = param_count(spec, model_cfg)
-        if n_params > profile.budget.max_params:
-            raise AggregationError(
-                f"client {cid}: sampled spec exceeds budget ({n_params} params)")
         bytes_down += n_params * BYTES_PER_PARAM
         client_specs.append({"client_id": cid, "spec": spec.to_dict(),
                              "param_count": n_params})
@@ -232,15 +229,10 @@ def run_federation(cfg: FederationConfig, model_cfg: ModelConfig,
                    profiles: list[ClientProfile],
                    eval_batch=None) -> tuple[ModelWeights, list[RoundRecord]]:
     """Initialize one global from the master seed, run every round on it in
-    place, and return it with the round log."""
+    place, and return it with the round log. Each budget must be at least
+    the floor spec, which `sim.build_profiles` checks."""
     if len(profiles) != cfg.n_clients:
         raise ConfigError(f"{len(profiles)} profiles for {cfg.n_clients} clients")
-    floor = param_count(min_spec(model_cfg, cfg.ratio_set), model_cfg)
-    for p in profiles:
-        if p.budget.max_params < floor:
-            raise ConfigError(
-                f"client {p.client_id}: budget {p.budget.max_params} below "
-                f"minimum spec size {floor}")
     w = init_weights(model_cfg, cfg.master_seed)
     log = [run_round(w, t, profiles, cfg, eval_batch=eval_batch) for t in range(cfg.rounds)]
     return w, log

@@ -161,7 +161,8 @@ def full_spec(cfg: ModelConfig) -> SubmodelSpec:
 def fraction_of(fraction: float, n: int, rounding) -> int:
     """rounding(fraction x n), the product exact for the decimal the fraction
     is written as: 0.07 of 100 is 7, not 7.000000000000001. Widths and
-    participant counts take math.ceil, budgets math.floor."""
+    participant counts take math.ceil, budgets math.floor, the eval hold-out
+    round (half to even: 0.035 of 300 is 10, where floats give 11)."""
     return rounding(Fraction(repr(float(fraction))) * n)
 
 
@@ -261,7 +262,7 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
                          rng: RngStream) -> SubmodelSpec:
     """Draw each prunable width independently from the ratio set, rejecting
     draws over budget; falls back to the all-minimum spec after
-    ``_MAX_ATTEMPTS`` rejections. The caller checks that this floor fits.
+    ``_MAX_ATTEMPTS`` rejections. `sim.build_profiles` checks that it fits.
 
     One attempt is one vector draw of ratio indices, which takes the same
     values from the stream as one scalar draw per width in slot order; only

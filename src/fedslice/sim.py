@@ -8,30 +8,35 @@ import numpy as np
 
 from . import data as data_mod
 from .config import RunConfig
+from .errors import ConfigError
 from .fed import ClientProfile, run_federation
 from .nn import Batch
-from .scaling import ResourceBudget, fraction_of, full_spec, param_count
+from .scaling import ResourceBudget, fraction_of, full_spec, min_spec, param_count
 
 
 def build_profiles(cfg: RunConfig):
-    """Generate the task, hold out its last samples as the eval batch (None
-    when eval_fraction rounds to none), partition the rest across clients,
-    and assign cyclic budget fractions, each floored to a parameter count."""
+    """Refuse a budget below the ratio set's floor spec before any data is
+    generated. Then generate the task, hold out its last eval_fraction as
+    the eval batch (None when none), partition the rest across clients and
+    give them the budgets cyclically; `fraction_of` takes every count."""
+    full_params = param_count(full_spec(cfg.model), cfg.model)
+    floor = param_count(min_spec(cfg.model, cfg.federation.ratio_set), cfg.model)
+    budgets = [fraction_of(f, full_params, math.floor) for f in cfg.budget_fractions]
+    budget, frac = min(zip(budgets, cfg.budget_fractions))
+    if budget < floor:
+        raise ConfigError(f"budget {budget} (fraction {frac}) below minimum spec size {floor}")
     tokens, labels = data_mod.generate(cfg.task)
-    n_eval = int(round(cfg.eval_fraction * cfg.task.n_samples))
+    n_eval = fraction_of(cfg.eval_fraction, cfg.task.n_samples, round)
     n_train = cfg.task.n_samples - n_eval
     train_tokens, train_labels = tokens[:n_train], labels[:n_train]
     eval_batch = Batch(tokens=tokens[n_train:], labels=labels[n_train:]) if n_eval else None
 
     shards = data_mod.dirichlet_partition(train_labels, cfg.partition)
-    full_params = param_count(full_spec(cfg.model), cfg.model)
-
     profiles = []
     for cid, shard_idx in enumerate(shards):
-        frac = cfg.budget_fractions[cid % len(cfg.budget_fractions)]
         profiles.append(ClientProfile(
             client_id=cid,
-            budget=ResourceBudget(max_params=fraction_of(frac, full_params, math.floor)),
+            budget=ResourceBudget(max_params=budgets[cid % len(budgets)]),
             shard=data_mod.batches_from_indices(train_tokens, train_labels,
                                                 shard_idx, cfg.batch_size),
             local_epochs=cfg.local_epochs,

@@ -5,13 +5,14 @@ import pathlib
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedslice import cli
+from fedslice import cli, data
 from fedslice.checkpoint import (model_to_tensors, read_checkpoint, tensors_to_model,
                                  write_checkpoint)
 from fedslice.config import parse_run_config
@@ -257,20 +258,53 @@ class TestBuildProfiles:
         cfg = parse_run_config(json.dumps(doc))
         profiles, eval_batch, _ = build_profiles(cfg)
         tokens, labels = generate(cfg.task)
-        n_eval = round(fraction * cfg.task.n_samples)
+        n_eval = round(Fraction(repr(fraction)) * cfg.task.n_samples)
         assert type(eval_batch) is Batch and len(eval_batch) == n_eval
         assert eval_batch.tokens.tobytes() == tokens[-n_eval:].tobytes()
         assert eval_batch.labels.tobytes() == labels[-n_eval:].tobytes()
         assert sum(len(b) for p in profiles for b in p.shard) == cfg.task.n_samples - n_eval
 
+    # the exact products 10.5 and 13.5 round half to even; in binary floating
+    # point they are 10.500000000000002 and 13.499999999999998
+    @pytest.mark.parametrize("fraction, n_samples, n_eval", [(0.035, 300, 10),
+                                                             (0.009, 1500, 14)])
+    def test_eval_hold_out_rounds_the_exact_decimal_product(self, fraction, n_samples,
+                                                            n_eval):
+        doc = run_config_doc()
+        doc["task"]["n_samples"] = n_samples
+        doc["clients"]["eval_fraction"] = fraction
+        assert round(fraction * n_samples) != n_eval
+        assert len(build_profiles(parse_run_config(json.dumps(doc)))[1]) == n_eval
+
     def test_budgets_floor_the_exact_decimal_product(self):
         doc = run_config_doc()
-        doc["model"].update(d_model=6, d_ff=8)  # 300 parameters
+        doc["model"].update(d_model=6, d_ff=8)  # 300 parameters, floor 168
+        doc["federation"]["ratio_set"] = [0.25, 1.0]
         doc["clients"]["budget_fractions"] = [0.57, 0.659]
         profiles, _, full = build_profiles(parse_run_config(json.dumps(doc)))
         assert full == 300 and int(0.57 * full) == 170  # binary floating point: 170.99...
         assert round(0.659 * full) == 198  # 197.7 floors to 197
         assert [p.budget.max_params for p in profiles] == [171, 197, 171, 197]
+
+    def test_budget_at_the_floor_is_accepted_and_below_fails_before_any_data(
+            self, monkeypatch):
+        generated = []
+
+        def recorded(task):
+            generated.append(task)
+            return generate(task)
+
+        monkeypatch.setattr(data, "generate", recorded)
+        doc = run_config_doc()  # 392 parameters, floor 254
+        doc["clients"]["budget_fractions"] = [1.0, 0.648]  # 254.016
+        profiles, _, full = build_profiles(parse_run_config(json.dumps(doc)))
+        assert full == 392 and profiles[1].budget.max_params == 254
+        assert len(generated) == 1
+        doc["clients"]["budget_fractions"] = [1.0, 0.647]  # 253.624
+        with pytest.raises(ConfigError, match=r"budget 253 \(fraction 0\.647\) below "
+                                              "minimum spec size 254"):
+            build_profiles(parse_run_config(json.dumps(doc)))
+        assert len(generated) == 1
 
     @pytest.mark.parametrize("fraction", [0.0, 0.004])  # 0.48 of 120 samples rounds to none
     def test_without_eval_samples_no_round_is_scored(self, tmp_path, fraction):
