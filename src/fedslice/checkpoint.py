@@ -132,4 +132,7 @@ def tensors_to_model(tensors: dict[str, np.ndarray]) -> ModelWeights:
     for name, (_, shape) in slice_plan(spec, full).items():
         if shapes[name] != shape:
             raise FormatError(f"tensor {name!r} has shape {shapes[name]}, expected {shape}")
-    return ModelWeights(cfg, weights)
+    model = ModelWeights(cfg, shapes)
+    for name, arr in model.tensors.items():
+        np.copyto(arr, weights[name])
+    return model

@@ -53,11 +53,11 @@ def _cmd_run(args) -> int:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     cfg = parse_run_config(text, seed_override=args.seed)
-    os.makedirs(args.out, exist_ok=True)
 
     with np.errstate(all="ignore"):  # every non-finite value is handled where it arises
         final_weights, log, summary = run_simulation(cfg)
 
+    os.makedirs(args.out, exist_ok=True)  # here, so a run that fails leaves no empty --out
     with open(os.path.join(args.out, "metrics.jsonl"), "w") as f:
         for record in log:
             f.write(_json(asdict(record)) + "\n")

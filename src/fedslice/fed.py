@@ -13,10 +13,10 @@ full-width specs this reduces exactly to FedAvg.
 Prioritization permutes the global's channels in place, so every
 sub-model is the leading channels of each width slot. Participants are
 handled one at a time: each one's sub-model is copied from the global
-straight into one vector (`nn.Flat`) just before it trains, trained there
-in place, added into the round's running sums (a `Fold`) and freed before
-the next one is extracted, so a round holds one sub-model at a time. A
-second vector of the sub-model's layout holds the gradients: every step
+straight into one vector (`ModelWeights`) just before it trains, trained
+there in place, added into the round's running sums (a `Fold`) and freed
+before the next one is extracted, so a round holds one sub-model at a time.
+A second vector of the sub-model's layout holds the gradients: every step
 writes its gradients into it and updates the sub-model in place, and
 `backward` frees each layer's activations as it finishes with them. During
 training a round therefore holds two full-size copies of the weights (the
@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import (AggregationError, ConfigError, NumericError, ValidationError,
                      check_types)
-from .nn import (Flat, ModelConfig, ModelWeights, backward, evaluate, forward,
-                 init_weights, sgd_step, softmax_cross_entropy)
+from .nn import (ModelConfig, ModelWeights, backward, evaluate, forward, init_weights,
+                 sgd_step, softmax_cross_entropy)
 from .scaling import (ResourceBudget, SubmodelSpec, coverage, extract_submodel, fraction_of,
                       param_count, prioritize_model, sample_submodel_spec, slice_plan)
 from .tensor import RngStream
@@ -115,15 +115,15 @@ def select_participants(n_clients: int, rate: float, rng: RngStream) -> list[int
     return sorted(int(i) for i in rng.choice(n_clients, size=k, replace=False))
 
 
-def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> Flat:
+def local_train(w: ModelWeights, spec: SubmodelSpec, profile: ClientProfile) -> ModelWeights:
     """The spec's sub-model of `w` (see `extract_submodel`) after
     local_epochs full passes of SGD over the shard, fixed batch order. The
-    sub-model is extracted once, into one vector (`nn.Flat`), and trained
-    there in place; `w` is left as it is. Each step's backward writes its
-    gradients into a second vector of the same layout, and both vectors are
-    reused by every step."""
+    sub-model is extracted once, into one vector, and trained there in
+    place; `w` is left as it is. Each step's backward writes its gradients
+    into a second model of the same layout, and both vectors are reused by
+    every step."""
     params = extract_submodel(w, spec)
-    grads = Flat(w.config, {name: arr.shape for name, arr in params.tensors.items()})
+    grads = ModelWeights(w.config, {name: arr.shape for name, arr in params.tensors.items()})
     for _ in range(profile.local_epochs):
         for batch in profile.shard:
             logits, cache = forward(params, batch)

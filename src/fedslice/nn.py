@@ -3,10 +3,11 @@
 The model is a standard encoder stack: token embedding, per-layer
 (layer-norm -> multi-head attention -> residual, layer-norm -> ReLU FFN ->
 residual), mean pooling over positions, and a linear classifier head.
-Weights live in a flat name->array map so that slicing, aggregation and
-serialization can treat every parameter uniformly. Per-head widths may be
-narrower than the config maxima: forward/backward read actual shapes from
-the arrays, which is what makes extracted sub-models runnable as-is.
+Every model's weights lie end to end in one float64 vector, read through a
+name->view map, so that slicing, aggregation, serialization and the SGD
+step treat every parameter uniformly. Per-head widths may be narrower than
+the config maxima: forward/backward read actual shapes from the views,
+which is what makes extracted sub-models runnable as-is.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import contextvars
 import math
 import os
 import threading
+import types
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -103,18 +105,26 @@ def _model_values(m: ModelConfig) -> int:
 
 
 class ModelWeights:
-    """Complete parameter set; the per-tensor shapes are the source of truth
+    """Complete parameter set in one float64 vector, uninitialised: its
+    read-only map `tensors` takes each name, in order, to a view of the next
+    run of `vector` with the given shape. The shapes are the source of truth
     for actual (possibly sliced) widths."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, shapes: dict[str, tuple[int, ...]]):
         self.config = config
-        self.tensors = tensors
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.vector = np.empty(sum(sizes))
+        views, end = {}, 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            views[name] = self.vector[end:end + size].reshape(shape)
+            end += size
+        self.tensors = types.MappingProxyType(views)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
     def param_total(self) -> int:
-        return sum(int(v.size) for v in self.tensors.values())
+        return self.vector.size
 
     def qk_width(self, layer: int, head: int) -> int:
         return self.tensors[f"layer{layer}.head{head}.wq"].shape[1]
@@ -126,34 +136,18 @@ class ModelWeights:
         return self.tensors[f"layer{layer}.w1"].shape[1]
 
 
-class Flat(ModelWeights):
-    """Weights whose tensors lie end to end, in order, in one float64
-    vector: each of `tensors` is a view of its run of `vector`, with the
-    given shape. The values start uninitialised."""
-
-    def __init__(self, config: ModelConfig, shapes: dict[str, tuple[int, ...]]):
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        self.vector = np.empty(sum(sizes))
-        super().__init__(config, {})
-        end = 0
-        for (name, shape), size in zip(shapes.items(), sizes):
-            self.tensors[name] = self.vector[end:end + size].reshape(shape)
-            end += size
-
-
 def init_weights(cfg: ModelConfig, seed: int) -> ModelWeights:
-    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) matrices from per-tensor
-    streams; every vector zero (biases, layer-norm shifts) except the
-    layer-norm scales, which are one."""
-    tensors: dict[str, np.ndarray] = {}
-    for idx, (name, shape) in enumerate(full_shapes(cfg).items()):
-        if len(shape) == 1:
-            tensors[name] = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) matrices from streams keyed
+    by position in `full_shapes`; every vector zero (biases, layer-norm
+    shifts) except the layer-norm scales, which are one."""
+    w = ModelWeights(cfg, full_shapes(cfg))
+    for idx, (name, arr) in enumerate(w.tensors.items()):
+        if arr.ndim == 1:
+            arr.fill(1.0 if name.endswith(".scale") else 0.0)
         else:
-            bound = 1.0 / np.sqrt(shape[0])  # fan-in
-            stream = RngStream(seed, _INIT_STREAM_BASE + idx)
-            tensors[name] = stream.uniform(-bound, bound, shape)
-    return ModelWeights(cfg, tensors)
+            bound = 1.0 / np.sqrt(arr.shape[0])  # fan-in
+            arr[...] = RngStream(seed, _INIT_STREAM_BASE + idx).uniform(-bound, bound, arr.shape)
+    return w
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -303,8 +297,8 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     tensor order, from d(loss)/d(logits) of that forward's batch.
 
     Each gradient is written into its array in `grads`, which must have the
-    weights' names and shapes (a `Flat`'s tensors, say); every value there
-    is overwritten.
+    weights' names and shapes (the `tensors` of a `ModelWeights` of the
+    weights' shapes, say); every value there is overwritten.
 
     The cache is consumed: each layer's activations are popped off
     `cache.layers` when that layer starts and dropped as soon as they have
@@ -414,7 +408,7 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     return grads
 
 
-def sgd_step(params: Flat, grads: Flat, lr: float) -> None:
+def sgd_step(params: ModelWeights, grads: ModelWeights, lr: float) -> None:
     """params -= lr * grads in place, bit for bit `w - lr * g` on every
     tensor; `grads` is left holding lr * grads. A non-finite gradient
     refuses the step, naming the first such tensor in order, and leaves

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .nn import Flat, ModelConfig, ModelWeights, attention_scores, full_shapes
+from .nn import ModelConfig, ModelWeights, attention_scores, full_shapes
 from .tensor import RngStream, check_permutation
 
 # The one definition of which coordinates a spec selects: per-layer tensor ->
@@ -274,7 +274,7 @@ def sample_submodel_spec(cfg: ModelConfig, budget: ResourceBudget, ratio_set,
         picks = rng.integers(0, len(ratios), size=len(cols))
         if fixed + int(costs[picks, cols].sum()) <= budget.max_params:
             return _spec(widths[picks, cols].tolist(), cfg.n_layers, cfg.n_heads)
-    return min_spec(cfg, ratios)
+    return _spec(widths[0].tolist(), cfg.n_layers, cfg.n_heads)  # sorted: row 0 is the floor
 
 
 def spec_of(shapes: dict, n_layers: int, n_heads: int) -> SubmodelSpec:
@@ -331,15 +331,15 @@ def coverage(specs: list, shapes: dict, n_layers: int, n_heads: int) -> dict:
     return out
 
 
-def extract_submodel(w: ModelWeights, spec: SubmodelSpec) -> Flat:
-    """Copy out the coordinates the spec keeps into one new vector (a
-    `Flat`) shaped by the slice plan: each slot's leading channels in every
-    cut tensor of `w`, every other tensor whole. The plan, which checks the
+def extract_submodel(w: ModelWeights, spec: SubmodelSpec) -> ModelWeights:
+    """Copy out the coordinates the spec keeps into a new model, one vector
+    shaped by the slice plan: each slot's leading channels in every cut
+    tensor of `w`, every other tensor whole. The plan, which checks the
     spec against `w`'s widths, is built before anything is allocated."""
     spec.validate(w.config)
     src = w.tensors
     plan = slice_plan(spec, {name: arr.shape for name, arr in src.items()})
-    sub = Flat(w.config, {name: shape for name, (_, shape) in plan.items()})
+    sub = ModelWeights(w.config, {name: shape for name, (_, shape) in plan.items()})
     for name, (idx, _) in plan.items():
         np.copyto(sub.tensors[name], src[name][idx])
     return sub

@@ -364,6 +364,13 @@ class TestCmdRun:
         path = write_config(tmp_path, malformed_doc("clients", "budget_fractions", [0.3]))
         assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
         assert "below minimum spec size" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_below_a_regular_file_exits_3(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, run_config_doc())
+        assert cli.main(["run", path, "--out", str(tmp_path / "file" / "out")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
 
     def test_diverged_run_writes_outputs_and_exits_2(self, tmp_path, capsys):
         # at lr 1e300 round 0 drops one of two clients and evaluates to NaN,

@@ -12,14 +12,13 @@ from fedslice import fed, nn
 from fedslice.errors import AggregationError, NumericError, ValidationError
 from fedslice.fed import (ClientProfile, FederationConfig, Fold, RoundRecord, aggregate,
                           local_train, run_federation, run_round, select_participants)
-from fedslice.nn import (Batch, ModelConfig, ModelWeights, forward, init_weights,
-                         softmax_cross_entropy)
+from fedslice.nn import Batch, ModelConfig, forward, init_weights, softmax_cross_entropy
 from fedslice.scaling import (ResourceBudget, SubmodelSpec, extract_submodel, full_spec,
                               param_count, prioritize_model)
 from fedslice.tensor import RngStream
 
 from test_nn import backward_new
-from test_slice_plan import configs, copy_weights, prioritized, specs
+from test_slice_plan import configs, copy_weights, model_of, prioritized, specs
 
 # small enough that every matrix is at most 4x4
 TINY = ModelConfig(n_layers=1, d_model=3, n_heads=2, d_k=4, d_v=2, d_ff=4,
@@ -57,7 +56,7 @@ def random_update(cfg, spec, rng):
     """Weights with the sub-model shapes the spec implies, random values."""
     w = init_weights(cfg, 0)
     sub = extract_submodel(w, spec)
-    return ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in sub.tensors.items()})
+    return model_of(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in sub.tensors.items()})
 
 
 def fold_all(global_w, updates):
@@ -188,27 +187,27 @@ class TestLocalTrain:
     def test_trains_its_one_extraction_in_place(self, monkeypatch):
         # one sub-model-sized allocation besides the gradients: the
         # extraction, which is trained and returned; the input is not touched
-        extracted, flats = [], []
-        real_extract, real_flat = fed.extract_submodel, nn.Flat.__init__
+        extracted, models = [], []
+        real_extract, real_init = fed.extract_submodel, nn.ModelWeights.__init__
 
         def extract(w, spec):
             extracted.append(real_extract(w, spec))
             return extracted[-1]
 
-        def counting_flat(self, *args):
-            flats.append(self)
-            real_flat(self, *args)
+        def counting_init(self, *args):
+            models.append(self)
+            real_init(self, *args)
 
-        monkeypatch.setattr(fed, "extract_submodel", extract)
-        monkeypatch.setattr(nn.Flat, "__init__", counting_flat)
         w = init_weights(TINY, 1)
         prioritize_model(w)
+        monkeypatch.setattr(fed, "extract_submodel", extract)
+        monkeypatch.setattr(nn.ModelWeights, "__init__", counting_init)
         before = {k: v.tobytes() for k, v in w.tensors.items()}
         spec = SubmodelSpec(ffn_widths=(3,), qk_widths=((2, 4),), v_widths=((1, 2),))
         p = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9),
                           shard=[tiny_batch(0), tiny_batch(1)], local_epochs=2, lr=0.1)
         out = local_train(w, spec, p)
-        assert len(extracted) == 1 and out is extracted[0] and len(flats) == 2
+        assert len(extracted) == 1 and out is extracted[0] and len(models) == 2
         assert out.vector.tobytes() != real_extract(w, spec).vector.tobytes()
         assert {k: v.tobytes() for k, v in w.tensors.items()} == before
 
@@ -267,7 +266,7 @@ def test_local_train_bit_equal_to_out_of_place_sgd(data):
     want = extract_submodel(w, spec).tensors
     for _ in range(epochs):
         for batch in shard:
-            logits, cache = forward(ModelWeights(cfg, want), batch)
+            logits, cache = forward(model_of(cfg, want), batch)
             loss, dlogits = softmax_cross_entropy(logits, batch.labels)
             if not np.isfinite(loss):  # underflowed: local_train drops the client here
                 with pytest.raises(NumericError):
@@ -345,8 +344,7 @@ class TestAggregate:
 
     def test_wrong_shape_rejected(self):
         g = init_weights(TINY, 1)
-        bad = init_weights(TINY, 2)
-        bad.tensors["cls.w"] = np.zeros((1, 1))
+        bad = model_of(TINY, {**init_weights(TINY, 2).tensors, "cls.w": np.zeros((1, 1))})
         with pytest.raises(AggregationError):
             fold_all(g, [(full_spec(TINY), bad)])
 
@@ -367,8 +365,8 @@ class TestAggregate:
     def test_rejected_update_leaves_the_fold_untouched(self):
         g = init_weights(TINY, 1)
         good = [(full_spec(TINY), init_weights(TINY, 2)), (full_spec(TINY), init_weights(TINY, 3))]
-        bad = init_weights(TINY, 4)
-        bad.tensors["cls.b"] = np.zeros(TINY.n_classes + 1)  # the last tensor checked
+        bad = model_of(TINY, {**init_weights(TINY, 4).tensors,  # cls.b: the last tensor checked
+                              "cls.b": np.zeros(TINY.n_classes + 1)})
         out = copy_weights(g)
         fold = Fold(out)
         aggregate(fold, good[:1])

@@ -22,10 +22,10 @@ import pathlib
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 from fedslice import cli
-from test_acceptance import _numerics_build
 from test_bench_contract import load_perfbench
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
@@ -33,6 +33,15 @@ RECORD = "PYTHONPATH=src python tests/test_golden.py --record"
 # per workload, the federation keys that cut its variant 0 short
 RUNS = {"desk": {}, "medium": {"rounds": 2, "eval_every": 2},
         "fanout": {"rounds": 1, "eval_every": 1}}
+
+
+def _numerics_build():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    return f"numpy {np.__version__} and BLAS {blas}"
 
 
 def outputs(name: str, tmp: pathlib.Path) -> dict:

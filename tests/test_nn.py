@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedslice import nn
+from fedslice.checkpoint import model_to_tensors, tensors_to_model
 from fedslice.errors import NumericError, ValidationError
-from fedslice.nn import (Batch, Flat, ModelConfig, ModelWeights, attention_scores,
-                         backward, evaluate, forward, init_weights, sgd_step,
+from fedslice.fed import ClientProfile, local_train
+from fedslice.nn import (Batch, ModelConfig, ModelWeights, attention_scores,
+                         backward, evaluate, forward, full_shapes, init_weights, sgd_step,
                          softmax_cross_entropy)
-from fedslice.scaling import extract_submodel, prioritize_model, uniform_spec
+from fedslice.scaling import ResourceBudget, extract_submodel, prioritize_model, uniform_spec
 from fedslice.tensor import RngStream
-from test_slice_plan import specs
+from test_slice_plan import configs, copy_weights, model_of, specs
 
 SMALL = ModelConfig(n_layers=1, d_model=6, n_heads=2, d_k=3, d_v=3, d_ff=8,
                     vocab_size=11, n_classes=3, max_seq=8)
@@ -41,24 +43,84 @@ def forward_dlogits(w, batch):
 
 
 def backward_new(cache, dlogits):
-    """backward() into the tensors of a new Flat of the cached weights' layout."""
+    """backward() into the tensors of a new model of the cached weights' layout."""
     w = cache.weights
     return backward(cache, dlogits,
-                    Flat(w.config, {k: v.shape for k, v in w.tensors.items()}).tensors)
-
-
-def flat_of(tensors):
-    """A Flat holding a copy of the tensors, in their order; its config
-    (SMALL) is one that sgd_step does not read."""
-    flat = Flat(SMALL, {k: v.shape for k, v in tensors.items()})
-    for k, v in tensors.items():
-        np.copyto(flat.tensors[k], v)
-    return flat
+                    ModelWeights(w.config, {k: v.shape for k, v in w.tensors.items()}).tensors)
 
 
 def zero_weights(cfg):
-    w = init_weights(cfg, 0)
-    return ModelWeights(cfg, {k: np.zeros_like(v) for k, v in w.tensors.items()})
+    w = ModelWeights(cfg, full_shapes(cfg))
+    w.vector.fill(0.0)
+    return w
+
+
+def per_tensor_init(cfg, seed):
+    """init_weights as it was written when each tensor was its own array."""
+    tensors = {}
+    for idx, (name, shape) in enumerate(full_shapes(cfg).items()):
+        if len(shape) == 1:
+            tensors[name] = np.ones(shape) if name.endswith(".scale") else np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            tensors[name] = RngStream(seed, 100 + idx).uniform(-bound, bound, shape)
+    return tensors
+
+
+def assert_views_tile_the_vector(w):
+    """Each of w's tensors is the next run of w.vector, in tensor order,
+    and the runs end where the vector does."""
+    start = w.vector.__array_interface__["data"][0]
+    end = 0
+    for name, arr in w.tensors.items():
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+        assert arr.__array_interface__["data"][0] == start + 8 * end, name
+        assert np.shares_memory(arr, w.vector), name
+        end += arr.size
+    assert end == w.vector.size == w.param_total()
+
+
+class TestModelWeights:
+    @pytest.mark.parametrize("cfg", [SMALL, DEEP, ModelConfig(1, 1, 1, 1, 1, 1, 1, 1, 1),
+                                     ModelConfig(2, 16, 2, 4, 4, 32, 4, 4, 12)])
+    def test_init_equals_the_per_tensor_initialiser_byte_for_byte(self, cfg):
+        for seed in (0, 7):
+            w, want = init_weights(cfg, seed), per_tensor_init(cfg, seed)
+            assert list(w.tensors) == list(want)
+            for name, arr in want.items():
+                assert w[name].shape == arr.shape and w[name].tobytes() == arr.tobytes(), name
+
+    def test_views_cannot_be_rebound(self):
+        w = init_weights(SMALL, 0)
+        with pytest.raises(TypeError):
+            w.tensors["cls.b"] = np.zeros(SMALL.n_classes)
+        with pytest.raises(TypeError):
+            del w.tensors["cls.b"]
+        w["cls.b"][0] = 2.0  # a view is written in place, into the vector
+        assert w.vector[-SMALL.n_classes] == 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_model_is_one_vector_of_views(data):
+    # the initialised global, a checkpoint read back, a sub-model and a
+    # trained one are each one vector that their views tile
+    cfg = data.draw(configs())
+    w = init_weights(cfg, data.draw(st.integers(0, 99)))
+    prioritize_model(w)
+    spec = data.draw(specs(cfg))
+    sub = extract_submodel(w, spec)
+    rng = RngStream(data.draw(st.integers(0, 99)), 0)
+    profile = ClientProfile(client_id=0, budget=ResourceBudget(10 ** 9), local_epochs=1,
+                            lr=0.1, shard=[Batch(tokens=rng.integers(0, cfg.vocab_size, (2, 1)),
+                                                 labels=rng.integers(0, cfg.n_classes, 2))])
+    for model in (w, sub):
+        back = tensors_to_model(model_to_tensors(model))
+        assert back.vector.tobytes() == model.vector.tobytes()
+        assert list(back.tensors) == list(model.tensors)
+        assert_views_tile_the_vector(back)
+    for model in (w, sub, local_train(w, spec, profile)):
+        assert_views_tile_the_vector(model)
 
 
 class TestAttentionScores:
@@ -203,7 +265,7 @@ class TestBackward:
         # every slot is overwritten, the embedding's included: neither the
         # NaN prefill nor batch A's gradients leak into batch B's
         w = init_weights(SMALL, 5)
-        grads = Flat(SMALL, {k: v.shape for k, v in w.tensors.items()})
+        grads = ModelWeights(SMALL, {k: v.shape for k, v in w.tensors.items()})
         grads.vector.fill(np.nan)
         backward(*forward_dlogits(w, small_batch(1)), grads.tensors)
         b = Batch(tokens=np.array([[1, 2, 1], [2, 1, 2]]), labels=np.array([0, 2]))
@@ -338,30 +400,32 @@ def test_backward_bit_equal_to_per_head_oracle(data):
 class TestSgdStep:
     def test_lr_zero_is_identity(self):
         w = init_weights(SMALL, 5)
-        params = flat_of(w.tensors)
-        sgd_step(params, flat_of({k: np.ones_like(v) for k, v in w.tensors.items()}), 0.0)
+        params, grads = copy_weights(w), copy_weights(w)
+        grads.vector.fill(1.0)
+        sgd_step(params, grads, 0.0)
         assert all(np.array_equal(w.tensors[k], params.tensors[k]) for k in w.tensors)
 
     def test_scalar_case(self):
-        params = flat_of({"x": np.array([[1.0]])})
-        sgd_step(params, flat_of({"x": np.array([[1.0]])}), 0.5)
+        params = model_of(SMALL, {"x": np.array([[1.0]])})
+        sgd_step(params, model_of(SMALL, {"x": np.array([[1.0]])}), 0.5)
         assert params.tensors["x"][0, 0] == 0.5
 
     def test_two_steps_equal_summed_displacement(self):
         w = init_weights(SMALL, 5)
-        twice, once = flat_of(w.tensors), flat_of(w.tensors)
-        for _ in range(2):  # the step scales its gradients in place, so each gets its own
-            sgd_step(twice, flat_of({k: np.full_like(v, 0.25) for k, v in w.tensors.items()}),
-                     0.1)
-        sgd_step(once, flat_of({k: np.full_like(v, 0.5) for k, v in w.tensors.items()}), 0.1)
+        twice, once = copy_weights(w), copy_weights(w)
+        for model, steps, g in ((twice, 2, 0.25), (once, 1, 0.5)):
+            for _ in range(steps):  # the step scales its gradients in place: a new one each
+                grads = copy_weights(w)
+                grads.vector.fill(g)
+                sgd_step(model, grads, 0.1)
         assert np.allclose(twice.vector, once.vector, atol=1e-15)
 
     def test_non_finite_gradient_refused(self):
         # an inf in a middle tensor and a NaN in the last: the error names
         # the first of them in tensor order, and neither vector moves
         w = init_weights(SMALL, 5)
-        params = flat_of(w.tensors)
-        grads = flat_of(backward_new(*forward_dlogits(w, small_batch(1))))
+        params = copy_weights(w)
+        grads = model_of(SMALL, backward_new(*forward_dlogits(w, small_batch(1))))
         names = list(w.tensors)
         middle = names[len(names) // 2]
         grads.tensors[middle].flat[-1] = np.inf

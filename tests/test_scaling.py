@@ -183,6 +183,7 @@ class TestSampleSubmodelSpec:
             return param_count(spec, cfg)
 
         monkeypatch.setattr(scaling, "param_count", counting)
+        monkeypatch.setattr(scaling, "min_spec", None)  # the draw table's first row is the floor
         budget = ResourceBudget(param_count(floor, cfg))
         assert sample_submodel_spec(cfg, budget, ratios, RngStream(3, 7)) == floor
         assert len(calls) <= 1
@@ -235,7 +236,7 @@ class TestExtractSubmodel:
 
     def test_spec_too_wide_rejected(self, monkeypatch):
         narrow = extract_submodel(init_weights(CFG, 3), uniform_spec(CFG, 0.5))
-        monkeypatch.setattr(scaling, "Flat", None)  # any allocation would raise TypeError
+        monkeypatch.setattr(scaling, "ModelWeights", None)  # any allocation would raise TypeError
         with pytest.raises(ShapeError):
             extract_submodel(narrow, full_spec(CFG))
 

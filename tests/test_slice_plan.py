@@ -22,8 +22,16 @@ from fedslice.scaling import (_MAX_ATTEMPTS, CUTS, ResourceBudget, SubmodelSpec,
 from fedslice.tensor import RngStream
 
 
+def model_of(cfg, tensors):
+    """A model of this config holding a copy of the arrays, in their order."""
+    w = ModelWeights(cfg, {k: np.shape(v) for k, v in tensors.items()})
+    for k, v in tensors.items():
+        np.copyto(w.tensors[k], v)
+    return w
+
+
 def copy_weights(w):
-    return ModelWeights(w.config, {k: v.copy() for k, v in w.tensors.items()})
+    return model_of(w.config, w.tensors)
 
 
 def prioritized(w, permute_qk=True, permute_vo=True, permute_ffn=True):
@@ -31,9 +39,9 @@ def prioritized(w, permute_qk=True, permute_vo=True, permute_ffn=True):
     code under test: every cut tensor taken through its reference salience
     order, every other tensor copied."""
     perms, axes = reference_order(w, permute_qk, permute_vo, permute_ffn), cut_axes(w.config)
-    return ModelWeights(w.config, {name: np.take(arr, perms[name], axis=axes[name])
-                                   if name in perms else arr.copy()
-                                   for name, arr in w.tensors.items()})
+    return model_of(w.config, {name: np.take(arr, perms[name], axis=axes[name])
+                               if name in perms else arr
+                               for name, arr in w.tensors.items()})
 
 
 @st.composite
@@ -66,7 +74,8 @@ def test_count_extract_and_coverage_agree(data):
     prioritize_model(w)
     sub = extract_submodel(w, spec)
     # a NaN global: exactly the coordinates the update covers become finite
-    nan_global = ModelWeights(cfg, {k: np.full(v.shape, np.nan) for k, v in w.tensors.items()})
+    nan_global = ModelWeights(cfg, {k: v.shape for k, v in w.tensors.items()})
+    nan_global.vector.fill(np.nan)
     fold = Fold(nan_global)
     aggregate(fold, [(spec, sub)])
     fold.merge()
@@ -323,7 +332,7 @@ def test_extraction_and_merge_through_the_order_equal_the_permuted_copy(data):
             assert list(got.tensors) == list(want)
             for name, arr in want.items():
                 assert got[name].tobytes() == arr.tobytes(), (flags, name)
-            update = ModelWeights(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in want.items()})
+            update = model_of(cfg, {k: rng.uniform(-1, 1, v.shape) for k, v in want.items()})
             aggregate(in_place, [(spec, update)])
             aggregate(via_copy, [(spec, update)])
         in_place.merge()
