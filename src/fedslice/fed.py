@@ -52,6 +52,7 @@ BYTES_PER_PARAM = 8
 # stream-id allocation: one namespace per randomized stage
 STREAM_SELECT = 1 << 32
 STREAM_SPEC = 2 << 32
+CLIENT_BITS = 20  # a spec stream id holds its client id in these low bits
 
 
 @dataclass
@@ -93,6 +94,8 @@ class FederationConfig:
             raise ConfigError(f"ratio_set must be non-empty, in (0, 1]: {list(self.ratio_set)}")
         if len(set(self.ratio_set)) < len(self.ratio_set):
             raise ConfigError(f"ratio_set repeats a ratio: {list(self.ratio_set)}")
+        if self.n_clients > 1 << CLIENT_BITS:  # else two clients share a spec stream
+            raise ConfigError(f"n_clients must be at most {1 << CLIENT_BITS}: {self.n_clients}")
 
 
 @dataclass
@@ -200,7 +203,7 @@ def run_round(global_w: ModelWeights, t: int, profiles: list[ClientProfile],
     bytes_down = bytes_up = 0
     for cid in participants:
         profile = profiles[cid]
-        spec_rng = RngStream(seed, STREAM_SPEC + (t << 20) + cid)
+        spec_rng = RngStream(seed, STREAM_SPEC + (t << CLIENT_BITS) + cid)
         spec = sample_submodel_spec(model_cfg, profile.budget, cfg.ratio_set, spec_rng)
         n_params = param_count(spec, model_cfg)
         bytes_down += n_params * BYTES_PER_PARAM

@@ -17,7 +17,7 @@ import math
 import os
 import threading
 import types
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -178,38 +178,25 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray):
     return scale * xhat + shift, (xhat, inv_std)
 
 
-def _layer_norm_backward(dy: np.ndarray, scale: np.ndarray, ln_cache):
+def _layer_norm_backward(dy: np.ndarray, scale: np.ndarray, ln_cache,
+                         dscale: np.ndarray, dshift: np.ndarray) -> np.ndarray:
+    """d(loss)/d(input) of a layer norm from d(loss)/d(output) and its cached
+    (xhat, inv_std); the scale and shift gradients are written into `dscale`
+    and `dshift`."""
     xhat, inv_std = ln_cache
-    dscale = (dy * xhat).sum(axis=(0, 1))
-    dshift = dy.sum(axis=(0, 1))
+    (dy * xhat).sum(axis=(0, 1), out=dscale)
+    dy.sum(axis=(0, 1), out=dshift)
     dxhat = dy * scale
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv_std * (dxhat - m1 - xhat * m2)
-    return dx, dscale, dshift
-
-
-@dataclass
-class _LayerCache:
-    """The activations of one layer that `backward` reads, each dropped by
-    `backward` once read. The layer norms' outputs a1 and a2 are not kept:
-    `backward` recomputes each from its cached (xhat, inv_std) as
-    `scale * xhat + shift`, the expression `_layer_norm` used, so bit for
-    bit the forward's values."""
-    ln1: tuple | None = None
-    q: list = field(default_factory=list)
-    k: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    probs: list = field(default_factory=list)
-    o_cat: np.ndarray | None = None
-    ln2: tuple | None = None
-    relu: np.ndarray | None = None
+    return inv_std * (dxhat - m1 - xhat * m2)
 
 
 @dataclass
 class ForwardCache:
-    """What `backward` reads of one forward pass. `backward` consumes it:
-    it pops each layer's `_LayerCache` off `layers` as it starts that
+    """What `backward` reads of one forward pass: `layers` holds each
+    layer's tuple of activations (see `_layer_forward`), first layer first.
+    `backward` consumes it: it pops each layer's tuple as it starts that
     layer, so a cache serves one backward."""
     weights: ModelWeights
     batch: Batch
@@ -217,28 +204,29 @@ class ForwardCache:
     pooled: np.ndarray
 
 
-def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
-                   cache: _LayerCache | None) -> np.ndarray:
-    """Layer i applied to x, which it overwrites with its output; its
-    activations go into `cache` unless it is None, in which case they are
-    freed on return. The residual adds, the FFN bias and the ReLU run in
-    place, bit for bit their out-of-place forms."""
+def _layer_forward(w: ModelWeights, i: int, x: np.ndarray, keep: list | None) -> np.ndarray:
+    """Layer i applied to x, which it overwrites with its output. Unless
+    `keep` is None (evaluation, which keeps nothing), the activations that
+    `backward` reads are appended to it as one tuple (ln1, heads, o_cat, ln2,
+    relu): ln1 and ln2 are the layer norms' (xhat, inv_std), and heads holds
+    one (q, k, v, probs) per head. The layer norms' outputs a1 and a2 are not
+    kept: `backward` recomputes each as `scale * xhat + shift`, the
+    expression `_layer_norm` used, so bit for bit the forward's values. The
+    residual adds, the FFN bias and the ReLU run in place, bit for bit their
+    out-of-place forms."""
     a1, ln1 = _layer_norm(x, w[f"layer{i}.ln1.scale"], w[f"layer{i}.ln1.shift"])
-    heads = []
+    heads, outs = [], []
     for h in range(w.config.n_heads):
         p = f"layer{i}.head{h}"
         q = a1 @ w[f"{p}.wq"] + w[f"{p}.bq"]
         k = a1 @ w[f"{p}.wk"] + w[f"{p}.bk"]
         v = a1 @ w[f"{p}.wv"] + w[f"{p}.bv"]
         probs = _attention(q, k)
-        heads.append(probs @ v)
-        if cache is not None:
-            cache.q.append(q)
-            cache.k.append(k)
-            cache.v.append(v)
-            cache.probs.append(probs)
-    o_cat = np.concatenate(heads, axis=-1)
-    del a1, heads  # each a (B, l, *) array that nothing below reads
+        outs.append(probs @ v)
+        if keep is not None:  # else each head's activations go with its next one
+            heads.append((q, k, v, probs))
+    o_cat = np.concatenate(outs, axis=-1)
+    del a1, outs  # each a (B, l, *) array that nothing below reads
     x += o_cat @ w[f"layer{i}.wo"]  # x is now x2 = x + o_cat wo + bo
     x += w[f"layer{i}.bo"]
     a2, ln2 = _layer_norm(x, w[f"layer{i}.ln2.scale"], w[f"layer{i}.ln2.shift"])
@@ -246,17 +234,18 @@ def _layer_forward(w: ModelWeights, i: int, x: np.ndarray,
     del a2  # likewise
     relu += w[f"layer{i}.b1"]
     np.maximum(relu, 0.0, out=relu)
-    if cache is not None:
-        cache.ln1, cache.o_cat, cache.ln2, cache.relu = ln1, o_cat, ln2, relu
+    if keep is not None:
+        keep.append((ln1, heads, o_cat, ln2, relu))
     x += relu @ w[f"layer{i}.w2"]
     x += w[f"layer{i}.b2"]
     return x
 
 
-def _pool(w: ModelWeights, tokens: np.ndarray, layer_caches: list) -> np.ndarray:
-    """Each sequence's last-layer output averaged over its positions: every op
-    here works per sample (a stacked matmul is one GEMM per sample), so a row
-    of the result does not depend on the other rows of `tokens`."""
+def _pool(w: ModelWeights, tokens: np.ndarray, keep: list | None) -> np.ndarray:
+    """Each sequence's last-layer output averaged over its positions, each
+    layer's activations appended to `keep` unless it is None: every op here
+    works per sample (a stacked matmul is one GEMM per sample), so a row of
+    the result does not depend on the other rows of `tokens`."""
     cfg = w.config
     if tokens.shape[1] > cfg.max_seq:
         raise ValidationError(f"sequence length {tokens.shape[1]} exceeds max_seq {cfg.max_seq}")
@@ -264,17 +253,17 @@ def _pool(w: ModelWeights, tokens: np.ndarray, layer_caches: list) -> np.ndarray
         raise ValidationError("token id out of vocabulary range")
 
     x = w["embed"][tokens]  # (B, l, d)
-    for i, cache in enumerate(layer_caches):
-        x = _layer_forward(w, i, x, cache)
+    for i in range(cfg.n_layers):
+        x = _layer_forward(w, i, x, keep)
     return x.mean(axis=1)
 
 
 def forward(w: ModelWeights, batch: Batch) -> tuple[np.ndarray, ForwardCache]:
     """Logits for the batch and the cache `backward` needs."""
-    layer_caches = [_LayerCache() for _ in range(w.config.n_layers)]
-    pooled = _pool(w, batch.tokens, layer_caches)
+    layers = []
+    pooled = _pool(w, batch.tokens, layers)
     logits = pooled @ w["cls.w"] + w["cls.b"]
-    return logits, ForwardCache(weights=w, batch=batch, layers=layer_caches, pooled=pooled)
+    return logits, ForwardCache(weights=w, batch=batch, layers=layers, pooled=pooled)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -300,15 +289,16 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     weights' names and shapes (the `tensors` of a `ModelWeights` of the
     weights' shapes, say); every value there is overwritten.
 
-    The cache is consumed: each layer's activations are popped off
-    `cache.layers` when that layer starts and dropped as soon as they have
-    been read (the ReLU output and second layer norm's after the FFN block,
-    o_cat once d(o_cat) is made, each head's q/k/v/probs after that head),
-    and so are the FFN block's temporaries, so no finished layer's
-    activations live on while the next layer allocates.
+    The cache is consumed: each layer's tuple is popped off `cache.layers`
+    when that layer starts, and each activation in it is deleted as soon as
+    it has been read (the ReLU output and second layer norm's after the FFN
+    block, o_cat once d(o_cat) is made, each head's q/k/v/probs after that
+    head), and so are the FFN block's temporaries, so no finished layer's
+    activations live on while the next layer allocates. Each layer norm's
+    scale and shift gradients are written straight into `grads`.
 
     The layer norms' outputs a1 and a2 are recomputed from the cache (see
-    `_LayerCache`). A layer's wq/wk/wv gradients are column slices of one
+    `_layer_forward`). A layer's wq/wk/wv gradients are column slices of one
     einsum over every head's d(a1 @ w), laid side by side in one buffer,
     bit for bit the per-tensor einsums:
     - exact, because einsum sums each output coordinate over (b, l) in the
@@ -331,34 +321,32 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
     dx = np.repeat(dpooled[:, None, :], seq_len, axis=1) / seq_len
 
     for i in reversed(range(cfg.n_layers)):
-        lc = cache.layers.pop()  # layer i's
+        ln1, heads, o_cat, ln2, relu = cache.layers.pop()  # layer i's
         # FFN block: x_out = x2 + relu(a2 w1 + b1) w2 + b2
         dx.sum(axis=(0, 1), out=grads[f"layer{i}.b2"])
-        np.einsum("blf,bld->fd", lc.relu, dx, out=grads[f"layer{i}.w2"])
+        np.einsum("blf,bld->fd", relu, dx, out=grads[f"layer{i}.w2"])
         dh1 = dx @ w[f"layer{i}.w2"].T
-        dh1 *= lc.relu > 0  # relu(h1) > 0 exactly where h1 > 0
-        lc.relu = None
-        a2 = w[f"layer{i}.ln2.scale"] * lc.ln2[0] + w[f"layer{i}.ln2.shift"]
+        dh1 *= relu > 0  # relu(h1) > 0 exactly where h1 > 0
+        del relu
+        a2 = w[f"layer{i}.ln2.scale"] * ln2[0] + w[f"layer{i}.ln2.shift"]
         np.einsum("bld,blf->df", a2, dh1, out=grads[f"layer{i}.w1"])
         del a2
         dh1.sum(axis=(0, 1), out=grads[f"layer{i}.b1"])
         da2 = dh1 @ w[f"layer{i}.w1"].T
         del dh1
-        dx2, dsc2, dsh2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], lc.ln2)
-        lc.ln2 = None
-        del da2
-        np.copyto(grads[f"layer{i}.ln2.scale"], dsc2)
-        np.copyto(grads[f"layer{i}.ln2.shift"], dsh2)
+        dx2 = _layer_norm_backward(da2, w[f"layer{i}.ln2.scale"], ln2,
+                                   grads[f"layer{i}.ln2.scale"], grads[f"layer{i}.ln2.shift"])
+        del ln2, da2
         dx2 += dx  # add the residual path: dx2 = dx + the ln2 path's gradient
         del dx
 
         # attention block: x2 = x_in + o_cat wo + bo
         dx2.sum(axis=(0, 1), out=grads[f"layer{i}.bo"])
-        np.einsum("blc,bld->cd", lc.o_cat, dx2, out=grads[f"layer{i}.wo"])
-        lc.o_cat = None
+        np.einsum("blc,bld->cd", o_cat, dx2, out=grads[f"layer{i}.wo"])
+        del o_cat
         do_cat = dx2 @ w[f"layer{i}.wo"].T
 
-        xhat1 = lc.ln1[0]
+        xhat1 = ln1[0]
         da1 = np.zeros_like(xhat1)
         # d(a1 @ w) of every head's wq, wk, wv, side by side in grads order
         proj = [f"layer{i}.head{h}.{t}" for h in range(cfg.n_heads) for t in ("wq", "wk", "wv")]
@@ -367,16 +355,15 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
         end = 0
         for h in range(cfg.n_heads):
             p = f"layer{i}.head{h}"
-            dv_h = lc.v[h].shape[-1]
-            do_h = do_cat[..., offset:offset + dv_h]
-            offset += dv_h
-            probs = lc.probs[h]
-            dprobs = do_h @ lc.v[h].transpose(0, 2, 1)
+            q, k, v, probs = heads.pop(0)
+            do_h = do_cat[..., offset:offset + v.shape[-1]]
+            offset += v.shape[-1]
+            dprobs = do_h @ v.transpose(0, 2, 1)
             dv = probs.transpose(0, 2, 1) @ do_h
             dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-            dscores /= np.sqrt(lc.q[h].shape[-1])
-            dq = dscores @ lc.k[h]
-            dk = dscores.transpose(0, 2, 1) @ lc.q[h]
+            dscores /= np.sqrt(q.shape[-1])
+            dq = dscores @ k
+            dk = dscores.transpose(0, 2, 1) @ q
             dq.sum(axis=(0, 1), out=grads[f"{p}.bq"])
             dk.sum(axis=(0, 1), out=grads[f"{p}.bk"])
             dv.sum(axis=(0, 1), out=grads[f"{p}.bv"])
@@ -384,8 +371,7 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
                 d_proj[..., end:end + d.shape[-1]] = d
                 end += d.shape[-1]
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
-            lc.q[h] = lc.k[h] = lc.v[h] = lc.probs[h] = None
-            del probs, dprobs, dscores, dq, dk, dv
+            del q, k, v, probs, dprobs, dscores, dq, dk, dv
         del do_cat, do_h
 
         a1 = w[f"layer{i}.ln1.scale"] * xhat1 + w[f"layer{i}.ln1.shift"]
@@ -396,10 +382,9 @@ def backward(cache: ForwardCache, dlogits: np.ndarray,
             np.copyto(grads[name], d_cat[:, end:end + w[name].shape[1]])
             end += w[name].shape[1]
 
-        dx, dsc1, dsh1 = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
-        del lc, xhat1, da1
-        np.copyto(grads[f"layer{i}.ln1.scale"], dsc1)
-        np.copyto(grads[f"layer{i}.ln1.shift"], dsh1)
+        dx = _layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], ln1,
+                                  grads[f"layer{i}.ln1.scale"], grads[f"layer{i}.ln1.shift"])
+        del ln1, xhat1, da1
         dx += dx2  # add the residual path: dx = dx2 + the ln1 path's gradient
         del dx2
 
@@ -486,8 +471,7 @@ def evaluate(w: ModelWeights, batch: Batch) -> tuple[float, float]:
     the GEMM has fewer rows."""
     if not len(batch):
         raise ValidationError("evaluation batch is empty")
-    no_cache = [None] * w.config.n_layers
-    pooled = _map_threads(lambda tokens: _pool(w, tokens, no_cache), _eval_chunks(batch.tokens))
+    pooled = _map_threads(lambda tokens: _pool(w, tokens, None), _eval_chunks(batch.tokens))
     logits = np.concatenate(pooled) @ w["cls.w"] + w["cls.b"]
     loss, _ = softmax_cross_entropy(logits, batch.labels)
     return int((logits.argmax(axis=1) == batch.labels).sum()) / len(batch), loss

@@ -73,6 +73,7 @@ MALFORMED = [
     ("federation", "rounds", 1.5, "federation.rounds"),
     ("federation", "rounds", True, "federation.rounds"),
     ("federation", "n_clients", 2.5, "federation.n_clients"),
+    ("federation", "n_clients", (1 << 20) + 1, "n_clients must be at most 1048576"),
     ("federation", "master_seed", "s", "federation.master_seed"),
     ("federation", "eval_every", -1, "eval_every"),
     ("federation", "participation_rate", 0, "participation_rate"),
@@ -207,6 +208,10 @@ class TestRunConfig:
         for section, key, value, message in MALFORMED:
             with pytest.raises(ConfigError, match=message):
                 parse_run_config(json.dumps(malformed_doc(section, key, value)))
+
+    def test_as_many_clients_as_spec_streams_parses(self):
+        # one more (MALFORMED) would share client 0's spec stream of the next round
+        parse_run_config(json.dumps(malformed_doc("federation", "n_clients", 1 << 20)))
 
     def test_unknown_top_level_key_rejected(self):
         doc = run_config_doc()

@@ -1,10 +1,12 @@
 """Golden outputs: short `fedslice run`s reproduce tests/golden.json bit for bit.
 
-Each run is variant 0 of a benchmark workload (perfbench/workloads.py), run
-in-process through `cli.main`: desk as it is, medium cut to two rounds and
-fanout to one, each still evaluating once. The test pins each run's exit
-code, its `summary.json` fields, the SHA-256 of its `final_weights.rffm`
-and its `metrics.jsonl` records less `wall_time`.
+Each run is a variant of a benchmark workload (perfbench/workloads.py), run
+in-process through `cli.main`: variant 0 of desk as it is, of medium cut to
+two rounds and of fanout to one, each still evaluating once, and desk
+variant 72 cut to 14 rounds, whose rounds 11, 12 and 13 drop 1, 2 and 4 of
+their 4 participants, so it exits 2. The test pins each run's exit code, its
+`summary.json` fields, the SHA-256 of its `final_weights.rffm` and its
+`metrics.jsonl` records less `wall_time`.
 
 Exact values hold for the numpy and BLAS build that the golden file records;
 on any other build the test fails and names both builds. Only a change meant
@@ -30,9 +32,11 @@ from test_bench_contract import load_perfbench
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden.json"
 RECORD = "PYTHONPATH=src python tests/test_golden.py --record"
-# per workload, the federation keys that cut its variant 0 short
-RUNS = {"desk": {}, "medium": {"rounds": 2, "eval_every": 2},
-        "fanout": {"rounds": 1, "eval_every": 1}}
+# per run: its workload, its variant and the federation keys that cut it short
+RUNS = {"desk": ("desk", 0, {}),
+        "medium": ("medium", 0, {"rounds": 2, "eval_every": 2}),
+        "fanout": ("fanout", 0, {"rounds": 1, "eval_every": 1}),
+        "desk72": ("desk", 72, {"rounds": 14})}
 
 
 def _numerics_build():
@@ -45,8 +49,9 @@ def _numerics_build():
 
 
 def outputs(name: str, tmp: pathlib.Path) -> dict:
-    doc = load_perfbench("workloads").WORKLOADS[name].config(0)
-    doc["federation"].update(RUNS[name])
+    workload, variant, cuts = RUNS[name]
+    doc = load_perfbench("workloads").WORKLOADS[workload].config(variant)
+    doc["federation"].update(cuts)
     config, out = tmp / f"{name}.json", tmp / name
     config.write_text(json.dumps(doc))
     code = cli.main(["run", str(config), "--out", str(out)])

@@ -159,12 +159,17 @@ class TestAttentionScores:
         w = init_weights(SMALL, 3)  # biases are zero, as attention_scores assumes
         batch = small_batch(seed=4)
         _, cache = forward(w, batch)
-        lc = cache.layers[0]
-        a1 = layer_norm_output(w, "layer0.ln1", lc.ln1)
-        for h in range(SMALL.n_heads):
-            wq, wk = w[f"layer0.head{h}.wq"], w[f"layer0.head{h}.wk"]
+        ln1, heads, *_ = cache.layers[0]
+        a1 = layer_norm_output(w, "layer0.ln1", ln1)
+        assert len(heads) == SMALL.n_heads
+        for h, (q, k, v, probs) in enumerate(heads):
+            p = f"layer0.head{h}"
+            # the cached projections, in the order backward unpacks them
+            for got, t in ((q, "q"), (k, "k"), (v, "v")):
+                assert np.array_equal(got, a1 @ w[f"{p}.w{t}"] + w[f"{p}.b{t}"])
             for b in range(len(batch)):
-                assert np.array_equal(attention_scores(wq, wk, a1[b]), lc.probs[h][b])
+                assert np.array_equal(attention_scores(w[f"{p}.wq"], w[f"{p}.wk"], a1[b]),
+                                      probs[b])
 
 
 class TestForward:
@@ -302,8 +307,8 @@ class TestBackward:
 
     def test_consumes_its_cache_layer_by_layer(self, monkeypatch):
         cache, dlogits = forward_dlogits(init_weights(DEEP, 4), small_batch(4, cfg=DEEP))
-        top_relu = weakref.ref(cache.layers[-1].relu)
-        alive = []  # per layer-norm backward call: the top layer's relu still alive?
+        top_relu = weakref.ref(cache.layers[-1][-1])  # the top layer's ReLU output
+        alive = []  # per layer-norm backward call: is the top layer's relu alive?
         real = nn._layer_norm_backward
 
         def watching(*args):
@@ -313,7 +318,8 @@ class TestBackward:
         monkeypatch.setattr(nn, "_layer_norm_backward", watching)
         backward_new(cache, dlogits)
         assert cache.layers == []
-        assert len(alive) == 2 * DEEP.n_layers and alive[-2:] == [False, False]
+        # dropped before its own layer's first layer-norm backward
+        assert alive == [False] * (2 * DEEP.n_layers)
 
 
 def layer_norm_output(w, prefix, ln_cache):
@@ -322,9 +328,22 @@ def layer_norm_output(w, prefix, ln_cache):
     return w[f"{prefix}.scale"] * ln_cache[0] + w[f"{prefix}.shift"]
 
 
+def layer_norm_backward(dy, scale, ln_cache):
+    """A layer norm's (dx, dscale, dshift) from d(output) and its cached
+    (xhat, inv_std), written apart from nn's."""
+    xhat, inv_std = ln_cache
+    dscale = (dy * xhat).sum(axis=(0, 1))
+    dshift = dy.sum(axis=(0, 1))
+    dxhat = dy * scale
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv_std * (dxhat - m1 - xhat * m2), dscale, dshift
+
+
 def per_head_backward(cache, dlogits):
     """backward() with one weight-gradient einsum per wq/wk/wv tensor, as
-    it was written before they were fused into one einsum per layer."""
+    it was written before they were fused into one einsum per layer, and
+    its own layer-norm backward."""
     w = cache.weights
     grads = dict.fromkeys(w.tensors)
     grads["cls.w"] = cache.pooled.T @ dlogits
@@ -333,34 +352,32 @@ def per_head_backward(cache, dlogits):
     seq_len = cache.batch.tokens.shape[1]
     dx = np.repeat(dpooled[:, None, :], seq_len, axis=1) / seq_len
     for i in reversed(range(w.config.n_layers)):
-        lc = cache.layers[i]
-        a1 = layer_norm_output(w, f"layer{i}.ln1", lc.ln1)
-        a2 = layer_norm_output(w, f"layer{i}.ln2", lc.ln2)
+        ln1, heads, o_cat, ln2, relu = cache.layers[i]
+        a1 = layer_norm_output(w, f"layer{i}.ln1", ln1)
+        a2 = layer_norm_output(w, f"layer{i}.ln2", ln2)
         grads[f"layer{i}.b2"] = dx.sum(axis=(0, 1))
-        grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", lc.relu, dx)
-        dh1 = (dx @ w[f"layer{i}.w2"].T) * (lc.relu > 0)
+        grads[f"layer{i}.w2"] = np.einsum("blf,bld->fd", relu, dx)
+        dh1 = (dx @ w[f"layer{i}.w2"].T) * (relu > 0)
         grads[f"layer{i}.w1"] = np.einsum("bld,blf->df", a2, dh1)
         grads[f"layer{i}.b1"] = dh1.sum(axis=(0, 1))
         dx2_ln, grads[f"layer{i}.ln2.scale"], grads[f"layer{i}.ln2.shift"] = \
-            nn._layer_norm_backward(dh1 @ w[f"layer{i}.w1"].T, w[f"layer{i}.ln2.scale"], lc.ln2)
+            layer_norm_backward(dh1 @ w[f"layer{i}.w1"].T, w[f"layer{i}.ln2.scale"], ln2)
         dx2 = dx + dx2_ln
         grads[f"layer{i}.bo"] = dx2.sum(axis=(0, 1))
-        grads[f"layer{i}.wo"] = np.einsum("blc,bld->cd", lc.o_cat, dx2)
+        grads[f"layer{i}.wo"] = np.einsum("blc,bld->cd", o_cat, dx2)
         do_cat = dx2 @ w[f"layer{i}.wo"].T
         da1 = np.zeros_like(a1)
         offset = 0
-        for h in range(w.config.n_heads):
+        for h, (q, k, v, probs) in enumerate(heads):
             p = f"layer{i}.head{h}"
-            dv_h = lc.v[h].shape[-1]
-            do_h = do_cat[..., offset:offset + dv_h]
-            offset += dv_h
-            probs = lc.probs[h]
-            dprobs = do_h @ lc.v[h].transpose(0, 2, 1)
+            do_h = do_cat[..., offset:offset + v.shape[-1]]
+            offset += v.shape[-1]
+            dprobs = do_h @ v.transpose(0, 2, 1)
             dv = probs.transpose(0, 2, 1) @ do_h
             dscores = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
-            dscores /= np.sqrt(lc.q[h].shape[-1])
-            dq = dscores @ lc.k[h]
-            dk = dscores.transpose(0, 2, 1) @ lc.q[h]
+            dscores /= np.sqrt(q.shape[-1])
+            dq = dscores @ k
+            dk = dscores.transpose(0, 2, 1) @ q
             grads[f"{p}.wq"] = np.einsum("bld,blk->dk", a1, dq)
             grads[f"{p}.bq"] = dq.sum(axis=(0, 1))
             grads[f"{p}.wk"] = np.einsum("bld,blk->dk", a1, dk)
@@ -369,7 +386,7 @@ def per_head_backward(cache, dlogits):
             grads[f"{p}.bv"] = dv.sum(axis=(0, 1))
             da1 += dq @ w[f"{p}.wq"].T + dk @ w[f"{p}.wk"].T + dv @ w[f"{p}.wv"].T
         dx_ln, grads[f"layer{i}.ln1.scale"], grads[f"layer{i}.ln1.shift"] = \
-            nn._layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], lc.ln1)
+            layer_norm_backward(da1, w[f"layer{i}.ln1.scale"], ln1)
         dx = dx2 + dx_ln
     grads["embed"] = np.zeros_like(w["embed"])
     np.add.at(grads["embed"], cache.batch.tokens, dx)
@@ -613,3 +630,20 @@ class TestCacheFreeForward:
             tracemalloc.stop()
         assert kept[1] is not None
         assert eval_peak < cached_peak / 2
+
+    def test_evaluate_keeps_no_heads_activations(self):
+        # one chunk of a 16-head model: every head's (q, k, v, probs) at once
+        # would be 16 heads' worth; evaluation frees each head's with the next
+        cfg = ModelConfig(n_layers=2, d_model=16, n_heads=16, d_k=2, d_v=2, d_ff=16,
+                          vocab_size=5, n_classes=3, max_seq=32)
+        w = init_weights(cfg, 0)
+        batch = small_batch(6, n=32, seq=32, cfg=cfg)
+        assert len(nn._eval_chunks(batch.tokens)) == 1
+        head_bytes = 32 * 32 * (2 * cfg.d_k + cfg.d_v + 32) * 8
+        tracemalloc.start()
+        try:
+            evaluate(w, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cfg.n_heads // 2 * head_bytes
